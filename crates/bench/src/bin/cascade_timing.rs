@@ -14,7 +14,7 @@
 
 use fi_core::config::HeadConfig;
 use fi_core::tiles::TileConfig;
-use fi_runtime::{CascadeMode, KvPrecision, Runtime, RuntimeConfig, RuntimeRequest};
+use fi_runtime::{CascadeMode, Runtime, RuntimeConfig, RuntimeOptions, RuntimeRequest};
 use fi_serving::engine::{EngineConfig, PreemptionPolicy};
 
 const SESSION_COUNTS: [usize; 3] = [8, 64, 256];
@@ -65,8 +65,11 @@ fn run(sessions: usize, mode: CascadeMode) -> RunStats {
         page_size: PAGE_SIZE,
         num_pages,
     };
-    let rt =
-        Runtime::start_with_cascade(cfg, KvPrecision::default(), mode).expect("runtime starts");
+    let opts = RuntimeOptions {
+        cascade: mode,
+        ..RuntimeOptions::default()
+    };
+    let rt = Runtime::start_with(cfg, opts).expect("runtime starts");
     let handles: Vec<_> = (0..sessions)
         .map(|i| {
             rt.submit(

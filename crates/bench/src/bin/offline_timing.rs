@@ -27,7 +27,7 @@ use fi_core::kernel::{AttentionProblem, FlashKernel};
 use fi_core::scratch::KernelScratch;
 use fi_core::tiles::TileConfig;
 use fi_core::variant::{VanillaAttention, VariantParams};
-use fi_runtime::{KvPrecision, Runtime, RuntimeConfig, RuntimeRequest};
+use fi_runtime::{KvPrecision, Runtime, RuntimeConfig, RuntimeOptions, RuntimeRequest};
 use fi_serving::engine::{EngineConfig, PreemptionPolicy};
 use fi_sparse::bsr::{BlockEntry, BlockSparseMatrix};
 use fi_tensor::{KvDtype, RaggedTensor, Scalar, Tensor, F16, F8E4M3};
@@ -167,7 +167,11 @@ fn runtime_tokens_per_s(precision: KvPrecision) -> f64 {
         page_size: 16,
         num_pages: 512,
     };
-    let rt = Runtime::start_with(cfg, precision).unwrap();
+    let opts = RuntimeOptions {
+        precision,
+        ..RuntimeOptions::default()
+    };
+    let rt = Runtime::start_with(cfg, opts).unwrap();
     let handles: Vec<_> = (0..4)
         .map(|i| rt.submit(RuntimeRequest::new(1024, 16, 0xB00 + i)))
         .collect();

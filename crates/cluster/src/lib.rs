@@ -34,12 +34,15 @@ pub mod router;
 
 pub use config::{ClusterConfig, ReplicaConfig, ReplicaRole};
 pub use metrics::{ClusterMetrics, ReplicaReport};
-pub use router::{ClusterError, ClusterHandle, ClusterRouter, ReplicaHealth};
+pub use router::{ClusterError, ClusterRouter, ReplicaHealth};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fi_runtime::{RequestOutcome, Runtime, RuntimeConfig, RuntimeRequest};
+    use fi_runtime::{
+        RejectReason, RequestOutcome, Runtime, RuntimeConfig, RuntimeRequest, SubmitMode,
+        SubmitOptions,
+    };
 
     fn tiny_runtime_cfg() -> RuntimeConfig {
         RuntimeConfig {
@@ -125,6 +128,26 @@ mod tests {
         assert!(m.migrated_bytes > 0);
         assert!(m.transfer_seconds > 0.0);
         assert!(m.kv_pools_drained());
+    }
+
+    #[test]
+    fn migration_legs_are_the_clusters_to_plan() {
+        let cluster =
+            ClusterRouter::start(ClusterConfig::homogeneous(1, tiny_runtime_cfg())).expect("start");
+        let h = cluster.submit_with(
+            req(0),
+            SubmitOptions {
+                stream: None,
+                leg: SubmitMode::PrefillOnly,
+            },
+        );
+        assert_eq!(
+            h.wait(),
+            RequestOutcome::Rejected(RejectReason::UnsupportedOptions)
+        );
+        let m = cluster.finish();
+        assert_eq!((m.submitted, m.rejected), (1, 1));
+        assert!(m.reconciles(), "a gate rejection is still accounted: {m:?}");
     }
 
     #[test]

@@ -15,25 +15,25 @@
 //! as a [`KvSnapshot`]; the engine prices the transfer over a simulated
 //! link ([`fi_dist::GpuSimCommCost`], one broadcast traversal of the
 //! storage-dtype bytes) and resumes the request on a
-//! [`ReplicaRole::Decode`] replica via
-//! [`fi_runtime::Runtime::submit_resumed`]. The happens-before story is
-//! plain channel causality: the prefill replica's scheduler sends the
-//! snapshot before it delivers the leg's outcome, the engine observes the
-//! outcome only after both are enqueued, and the decode replica imports
-//! the snapshot before its first decode step — so the resumed leg always
-//! sees exactly the bytes the prefill leg wrote, and outputs stay
-//! bit-identical to single-runtime execution.
+//! [`ReplicaRole::Decode`] replica as a [`SubmitMode::Resume`] leg. The
+//! happens-before story is plain channel causality: the prefill replica's
+//! scheduler sends the snapshot before it delivers the leg's outcome (see
+//! [`RequestHandle`]), the engine observes the outcome only after both are
+//! enqueued, and the decode replica imports the snapshot before its first
+//! decode step — so the resumed leg always sees exactly the bytes the
+//! prefill leg wrote, and outputs stay bit-identical to single-runtime
+//! execution.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use fi_dist::{CollectiveOp, CommCost, GpuSimCommCost};
 use fi_runtime::{
-    CancelReason, KvSnapshot, PrefillHandle, PrefillOutcome, RejectReason, RequestHandle,
-    RequestOutcome, Runtime, RuntimeMetrics, RuntimeRequest, StreamItem,
+    CancelReason, ClientEnd, KvSnapshot, RejectReason, RequestHandle, RequestOutcome, Runtime,
+    RuntimeMetrics, RuntimeOptions, RuntimeRequest, SubmitMode, SubmitOptions,
 };
 use fi_serving::policy::{place_replica, ReplicaLoad};
 
@@ -83,71 +83,18 @@ struct Shared {
     affinity: Mutex<HashMap<(u64, usize), usize>>,
 }
 
-/// The client's side of one cluster submission, kept by the engine until
-/// the request resolves.
-struct ClientSlot {
-    cancel: Arc<AtomicBool>,
-    outcome: Sender<RequestOutcome>,
-    /// Withheld until the request reaches the replica that will decode
-    /// it (for migrated requests: the resumed leg, not the prefill leg).
-    stream: Option<SyncSender<StreamItem>>,
-}
-
-impl ClientSlot {
-    fn deliver(&self, outcome: RequestOutcome) {
-        if let Some(tx) = &self.stream {
-            let _ = tx.try_send(StreamItem::Done(outcome.clone()));
-        }
-        let _ = self.outcome.send(outcome);
-    }
-}
-
 struct ClusterSubmission {
     req: RuntimeRequest,
-    client: ClientSlot,
+    /// Kept by the engine until the request resolves. Its token channel
+    /// is withheld until the request reaches the replica that will decode
+    /// it (for migrated requests: the resumed leg, not the prefill leg).
+    client: ClientEnd,
+    leg: SubmitMode,
 }
 
 enum Command {
     Submit(ClusterSubmission),
     Drain(usize),
-}
-
-/// Client-side handle to a cluster submission. Exactly one
-/// [`RequestOutcome`] is delivered per submission, so
-/// `submitted == completed + rejected + cancelled` reconciles across the
-/// whole cluster, like [`fi_runtime::RequestHandle`] does per runtime.
-#[derive(Debug)]
-pub struct ClusterHandle {
-    id: u64,
-    cancel_flag: Arc<AtomicBool>,
-    outcome: mpsc::Receiver<RequestOutcome>,
-}
-
-impl ClusterHandle {
-    /// The cluster-assigned request id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Ask the cluster to cancel the request, wherever it currently is
-    /// (pending, prefilling, migrating, or decoding).
-    pub fn cancel(&self) {
-        self.cancel_flag.store(true, Ordering::Release);
-    }
-
-    /// Block until the outcome arrives.
-    pub fn wait(self) -> RequestOutcome {
-        self.outcome
-            .recv()
-            .unwrap_or(RequestOutcome::Cancelled(CancelReason::Failed(
-                "cluster shut down before delivering an outcome".into(),
-            )))
-    }
-
-    /// Non-blocking poll for the outcome.
-    pub fn try_wait(&self) -> Option<RequestOutcome> {
-        self.outcome.try_recv().ok()
-    }
 }
 
 /// Multi-replica front door: owns the replica runtimes and places every
@@ -165,7 +112,11 @@ impl ClusterRouter {
         cfg.validate().map_err(ClusterError::InvalidConfig)?;
         let mut replicas = Vec::with_capacity(cfg.replicas.len());
         for rc in &cfg.replicas {
-            let rt = Runtime::start_with(rc.runtime.clone(), rc.precision)
+            let opts = RuntimeOptions {
+                precision: rc.precision,
+                ..RuntimeOptions::default()
+            };
+            let rt = Runtime::start_with(rc.runtime.clone(), opts)
                 .map_err(|e| ClusterError::InvalidConfig(e.to_string()))?;
             replicas.push(Replica {
                 runtime: Some(rt),
@@ -223,48 +174,35 @@ impl ClusterRouter {
     /// Submit a request for placement. The cluster's pending queue is
     /// unbounded — backpressure lives at the per-replica in-flight cap,
     /// not at this gate — so the only rejections are replica-side ones.
-    pub fn submit(&self, req: RuntimeRequest) -> ClusterHandle {
-        self.submit_inner(req, None)
+    /// Exactly one [`RequestOutcome`] is delivered per submission, so
+    /// `submitted == completed + rejected + cancelled` reconciles across
+    /// the whole cluster as it does per runtime; cancelling the handle
+    /// reaches the request wherever it is (pending, prefilling,
+    /// migrating, or decoding).
+    pub fn submit(&self, req: RuntimeRequest) -> RequestHandle {
+        self.submit_with(req, SubmitOptions::default())
     }
 
-    /// Submit with a bounded token channel; tokens stream from whichever
-    /// replica decodes the request (for disaggregated requests the
-    /// stream is attached to the resumed decode leg, so the client sees
-    /// one uninterrupted stream).
-    pub fn submit_with_stream(
-        &self,
-        req: RuntimeRequest,
-        stream: SyncSender<StreamItem>,
-    ) -> ClusterHandle {
-        self.submit_inner(req, Some(stream))
-    }
-
-    fn submit_inner(
-        &self,
-        req: RuntimeRequest,
-        stream: Option<SyncSender<StreamItem>>,
-    ) -> ClusterHandle {
+    /// [`ClusterRouter::submit`] with the runtime's [`SubmitOptions`]. A
+    /// `stream` carries tokens from whichever replica decodes the request
+    /// (for disaggregated requests it is attached to the resumed decode
+    /// leg, so the client sees one uninterrupted stream). The cluster
+    /// plans a request's legs itself: any `leg` but [`SubmitMode::Full`]
+    /// is rejected with [`RejectReason::UnsupportedOptions`].
+    pub fn submit_with(&self, req: RuntimeRequest, opts: SubmitOptions) -> RequestHandle {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let cancel_flag = Arc::new(AtomicBool::new(false));
-        let (otx, orx) = mpsc::channel();
+        let (handle, client) = RequestHandle::pair(id, opts.stream);
         let sub = ClusterSubmission {
             req,
-            client: ClientSlot {
-                cancel: Arc::clone(&cancel_flag),
-                outcome: otx,
-                stream,
-            },
+            client,
+            leg: opts.leg,
         };
         self.tx
             .as_ref()
             .expect("live until finish()")
             .send(Command::Submit(sub))
             .expect("engine alive until finish()");
-        ClusterHandle {
-            id,
-            cancel_flag,
-            outcome: orx,
-        }
+        handle
     }
 
     /// Drain a replica: it stops receiving placements, its affinity
@@ -327,26 +265,21 @@ impl Drop for ClusterRouter {
 // Engine internals (single thread, owns the replicas).
 // ---------------------------------------------------------------------------
 
-enum Stage {
-    /// Decoding (a full placement or a resumed migration leg).
-    Serving(RequestHandle),
-    /// Running the prefill leg of a disaggregated request.
-    Prefilling(PrefillHandle),
-}
-
 struct InFlight {
-    client: ClientSlot,
+    client: ClientEnd,
     req: RuntimeRequest,
     /// Token load this entry charges against its replica.
     tokens: usize,
     /// The client's cancel was already forwarded to the inner handle.
     cancel_forwarded: bool,
-    stage: Stage,
+    /// The leg running on the replica: a full placement, the prefill leg
+    /// of a disaggregated request, or its resumed decode leg.
+    handle: RequestHandle,
 }
 
 /// A finished prefill leg whose KV is waiting for decode-replica room.
 struct Migration {
-    client: ClientSlot,
+    client: ClientEnd,
     req: RuntimeRequest,
     snap: KvSnapshot,
 }
@@ -437,6 +370,12 @@ impl Engine {
         match cmd {
             Command::Submit(sub) => {
                 self.metrics.submitted += 1;
+                if !matches!(sub.leg, SubmitMode::Full) {
+                    sub.client
+                        .deliver(RequestOutcome::Rejected(RejectReason::UnsupportedOptions));
+                    self.metrics.rejected += 1;
+                    return;
+                }
                 self.pending.push_back(sub);
                 self.metrics.peak_pending = self.metrics.peak_pending.max(self.pending.len());
             }
@@ -462,7 +401,7 @@ impl Engine {
     fn sweep_queued_cancels(&mut self) {
         let mut kept = VecDeque::with_capacity(self.pending.len());
         for sub in self.pending.drain(..) {
-            if sub.client.cancel.load(Ordering::Acquire) {
+            if sub.client.cancelled() {
                 sub.client
                     .deliver(RequestOutcome::Cancelled(CancelReason::User));
                 self.metrics.cancelled += 1;
@@ -473,7 +412,7 @@ impl Engine {
         self.pending = kept;
         let mut kept = VecDeque::with_capacity(self.migrating.len());
         for m in self.migrating.drain(..) {
-            if m.client.cancel.load(Ordering::Acquire) {
+            if m.client.cancelled() {
                 m.client
                     .deliver(RequestOutcome::Cancelled(CancelReason::User));
                 self.metrics.cancelled += 1;
@@ -496,21 +435,12 @@ impl Engine {
         for ri in 0..self.replicas.len() {
             let mut i = 0;
             while i < self.replicas[ri].in_flight.len() {
-                let polled = {
-                    let f = &mut self.replicas[ri].in_flight[i];
-                    if f.client.cancel.load(Ordering::Acquire) && !f.cancel_forwarded {
-                        match &f.stage {
-                            Stage::Serving(h) => h.cancel(),
-                            Stage::Prefilling(h) => h.cancel(),
-                        }
-                        f.cancel_forwarded = true;
-                    }
-                    match &f.stage {
-                        Stage::Serving(h) => h.try_wait().map(Polled::Outcome),
-                        Stage::Prefilling(h) => h.try_wait().map(Polled::Prefill),
-                    }
-                };
-                let Some(polled) = polled else {
+                let f = &mut self.replicas[ri].in_flight[i];
+                if f.client.cancelled() && !f.cancel_forwarded {
+                    f.handle.cancel();
+                    f.cancel_forwarded = true;
+                }
+                let Some(outcome) = f.handle.try_wait() else {
                     i += 1;
                     continue;
                 };
@@ -518,12 +448,10 @@ impl Engine {
                 self.replicas[ri].outstanding_tokens = self.replicas[ri]
                     .outstanding_tokens
                     .saturating_sub(f.tokens);
-                match polled {
-                    Polled::Outcome(outcome) => {
-                        self.count_outcome(&outcome);
-                        f.client.deliver(outcome);
-                    }
-                    Polled::Prefill(PrefillOutcome::Prefilled(snap)) => {
+                // Only a completed prefill leg exports a snapshot, and it
+                // was sent before the outcome just observed.
+                match f.handle.take_snapshot() {
+                    Some(snap) => {
                         // Price the page transfer: one traversal of the
                         // simulated link, at the storage dtype's width.
                         let bytes = snap.transfer_bytes();
@@ -537,7 +465,7 @@ impl Engine {
                             snap,
                         });
                     }
-                    Polled::Prefill(PrefillOutcome::Failed(outcome)) => {
+                    None => {
                         self.count_outcome(&outcome);
                         f.client.deliver(outcome);
                     }
@@ -551,7 +479,7 @@ impl Engine {
     /// migrations take priority over fresh placements for decode room.
     fn place_migrations(&mut self) {
         while let Some(m) = self.migrating.front() {
-            if m.client.cancel.load(Ordering::Acquire) {
+            if m.client.cancelled() {
                 let m = self.migrating.pop_front().expect("front exists");
                 m.client
                     .deliver(RequestOutcome::Cancelled(CancelReason::User));
@@ -575,10 +503,13 @@ impl Engine {
             let m = self.migrating.pop_front().expect("front exists");
             let mut client = m.client;
             let rt = self.replicas[ri].runtime.as_ref().expect("accepting");
-            let handle = match client.stream.take() {
-                Some(s) => rt.submit_resumed_with_stream(m.req, m.snap, s),
-                None => rt.submit_resumed(m.req, m.snap),
-            };
+            let handle = rt.submit_with(
+                m.req,
+                SubmitOptions {
+                    stream: client.take_stream(),
+                    leg: SubmitMode::Resume(m.snap),
+                },
+            );
             self.metrics.migrations += 1;
             let tokens = m.req.prompt_len + m.req.output_len;
             self.dispatch(
@@ -588,7 +519,7 @@ impl Engine {
                     req: m.req,
                     tokens,
                     cancel_forwarded: false,
-                    stage: Stage::Serving(handle),
+                    handle,
                 },
             );
         }
@@ -632,12 +563,13 @@ impl Engine {
             let sub = self.pending.pop_front().expect("front exists");
             let mut client = sub.client;
             let rt = self.replicas[ri].runtime.as_ref().expect("accepting");
-            let (stage, tokens) = if disagg_leg {
+            let (opts, tokens) = if disagg_leg {
                 self.metrics.placements_disaggregated += 1;
-                (
-                    Stage::Prefilling(rt.submit_prefill_only(sub.req)),
-                    sub.req.prompt_len,
-                )
+                let opts = SubmitOptions {
+                    stream: None,
+                    leg: SubmitMode::PrefillOnly,
+                };
+                (opts, sub.req.prompt_len)
             } else {
                 if affinity == Some(ri) {
                     self.metrics.placements_affinity += 1;
@@ -653,15 +585,13 @@ impl Engine {
                         .expect("affinity lock")
                         .insert((p.seed, p.len), ri);
                 }
-                let handle = match client.stream.take() {
-                    Some(s) => rt.submit_with_stream(sub.req, s),
-                    None => rt.submit(sub.req),
+                let opts = SubmitOptions {
+                    stream: client.take_stream(),
+                    leg: SubmitMode::Full,
                 };
-                (
-                    Stage::Serving(handle),
-                    sub.req.prompt_len + sub.req.output_len,
-                )
+                (opts, sub.req.prompt_len + sub.req.output_len)
             };
+            let handle = rt.submit_with(sub.req, opts);
             self.dispatch(
                 ri,
                 InFlight {
@@ -669,7 +599,7 @@ impl Engine {
                     req: sub.req,
                     tokens,
                     cancel_forwarded: false,
-                    stage,
+                    handle,
                 },
             );
         }
@@ -727,9 +657,4 @@ impl Engine {
         self.metrics.transfer_seconds = self.comm.simulated_seconds();
         self.metrics
     }
-}
-
-enum Polled {
-    Outcome(RequestOutcome),
-    Prefill(PrefillOutcome),
 }

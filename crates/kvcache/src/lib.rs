@@ -21,7 +21,6 @@
 //! paper).
 
 pub mod alloc;
-pub mod compat;
 pub mod error;
 pub mod groups;
 pub mod map;
@@ -32,7 +31,6 @@ pub mod store;
 pub mod swap;
 
 pub use alloc::PageAllocator;
-pub use compat::LockedPagedKvCache;
 pub use error::KvCacheError;
 pub use map::PageMap;
 pub use paged::{PageExport, PagedKvCache};

@@ -11,8 +11,8 @@ use std::time::{Duration, Instant};
 
 use fi_cluster::{ClusterConfig, ClusterMetrics, ClusterRouter};
 use fi_runtime::{
-    RequestLatency, RequestOutcome, Runtime, RuntimeConfig, RuntimeError, RuntimeMetrics,
-    RuntimeRequest, StreamItem,
+    RequestHandle, RequestLatency, Runtime, RuntimeConfig, RuntimeError, RuntimeMetrics,
+    RuntimeRequest, StreamItem, SubmitOptions,
 };
 use fi_serving::policy::{batch_growth_quota, GrowthPolicy};
 
@@ -266,22 +266,23 @@ pub struct Router {
     dispatcher: Option<JoinHandle<RouterReport>>,
 }
 
-/// The dispatcher's backend: one runtime, or a replica cluster.
+/// The dispatcher's backend: one runtime, or a replica cluster. Both
+/// take the same [`SubmitOptions`] and hand back the same
+/// [`RequestHandle`].
 enum Backend {
     Single(Runtime),
     Cluster(ClusterRouter),
 }
 
-enum BackendHandle {
-    Single(fi_runtime::RequestHandle),
-    Cluster(fi_cluster::ClusterHandle),
-}
-
 impl Backend {
-    fn submit_with_stream(&self, req: RuntimeRequest, tx: SyncSender<StreamItem>) -> BackendHandle {
+    fn submit(&self, req: RuntimeRequest, tx: SyncSender<StreamItem>) -> RequestHandle {
+        let opts = SubmitOptions {
+            stream: Some(tx),
+            ..SubmitOptions::default()
+        };
         match self {
-            Backend::Single(rt) => BackendHandle::Single(rt.submit_with_stream(req, tx)),
-            Backend::Cluster(c) => BackendHandle::Cluster(c.submit_with_stream(req, tx)),
+            Backend::Single(rt) => rt.submit_with(req, opts),
+            Backend::Cluster(c) => c.submit_with(req, opts),
         }
     }
 
@@ -294,15 +295,6 @@ impl Backend {
                 let m = c.finish();
                 (m.total.clone(), Some(m))
             }
-        }
-    }
-}
-
-impl BackendHandle {
-    fn try_wait(&self) -> Option<RequestOutcome> {
-        match self {
-            BackendHandle::Single(h) => h.try_wait(),
-            BackendHandle::Cluster(h) => h.try_wait(),
         }
     }
 }
@@ -509,7 +501,7 @@ struct Dispatcher {
     shared: Arc<(Mutex<Shared>, Condvar)>,
     buckets: Vec<Option<TokenBucket>>,
     wrr: WrrPicker,
-    in_flight: Vec<(usize, BackendHandle)>,
+    in_flight: Vec<(usize, RequestHandle)>,
     /// Ticks the backlog has waited without the growth gate opening
     /// (resets on every dispatch) — drives the policy's escape hatch.
     steps_waiting: usize,
@@ -657,9 +649,7 @@ impl Dispatcher {
                     debug_assert!(charged, "eligibility checked the level");
                 }
             }
-            let h = self
-                .backend
-                .submit_with_stream(q.req.with_tenant(i as u32 + 1), q.tx);
+            let h = self.backend.submit(q.req.with_tenant(i as u32 + 1), q.tx);
             self.in_flight.push((i, h));
             self.dispatched += 1;
             self.tenant_dispatched[i] += 1;

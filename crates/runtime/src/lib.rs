@@ -4,12 +4,21 @@
 //! *real* attention kernels — the live counterpart of the discrete-event
 //! simulator in `fi-serving`.
 //!
+//! One request path: [`Runtime::start_with`] takes the config plus
+//! [`RuntimeOptions`] (KV precision, cascade mode; [`Runtime::start`] is
+//! the defaults), [`Runtime::submit_with`] takes the request plus
+//! [`SubmitOptions`] (a token stream, a migration leg;
+//! [`Runtime::submit`] is the defaults), and every submission — here, in
+//! `fi-cluster`, behind `fi-router` — is observed through the one
+//! [`RequestHandle`].
+//!
 //! Architecture (one OS thread each):
 //!
 //! * **Clients** submit [`RuntimeRequest`]s through a bounded queue;
 //!   a full queue rejects immediately (backpressure), and every
 //!   submission — admitted or not — resolves its [`RequestHandle`] with
-//!   exactly one [`RequestOutcome`].
+//!   exactly one [`RequestOutcome`]. A prefill-only leg's exported
+//!   [`KvSnapshot`] reaches the handle *before* that outcome.
 //! * **The scheduler** forms an iteration-level batch every step (Orca):
 //!   chunked prefill under the Sarathi budget plus one decode token per
 //!   running sequence, with admission, chunking, and preemption decided
@@ -61,8 +70,10 @@ mod worker;
 
 pub use metrics::{RequestLatency, RuntimeMetrics, TenantLatency};
 pub use request::{
-    effective_prefix_len, kv_row, prefix_token, q_row, request_kv_row, CancelReason,
-    CompletedRequest, KvSnapshot, PrefillHandle, PrefillOutcome, RejectReason, RequestHandle,
-    RequestOutcome, RuntimeRequest, SharedPrefix, StreamItem,
+    effective_prefix_len, kv_row, prefix_token, q_row, request_kv_row, CancelReason, ClientEnd,
+    CompletedRequest, KvSnapshot, RejectReason, RequestHandle, RequestOutcome, RuntimeRequest,
+    SharedPrefix, StreamItem, SubmitMode, SubmitOptions,
 };
-pub use scheduler::{CascadeMode, KvPrecision, Runtime, RuntimeConfig, RuntimeError};
+pub use scheduler::{
+    CascadeMode, KvPrecision, Runtime, RuntimeConfig, RuntimeError, RuntimeOptions,
+};

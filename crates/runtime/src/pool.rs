@@ -39,18 +39,8 @@ pub(crate) struct KvRows {
     pub rows: usize,
 }
 
-/// The lock-free read handle a worker gets: the arena plus whatever
-/// dequantization scales its dtype needs at stage time.
-#[derive(Clone)]
-pub(crate) enum StoreHandle {
-    F32(Arc<KvStore<f32>>),
-    F16(Arc<KvStore<F16>>),
-    Fp8 {
-        store: Arc<KvStore<F8E4M3>>,
-        k_scales: Arc<Vec<f32>>,
-        v_scales: Arc<Vec<f32>>,
-    },
-}
+/// Per-KV-head `(k, v)` dequantization scales, shared with the workers.
+pub(crate) type DequantScales = (Arc<Vec<f32>>, Arc<Vec<f32>>);
 
 /// The single-shard backend: the split kvcache layers, owned directly,
 /// storing rows at element type `T`.
@@ -90,6 +80,17 @@ impl<T: Scalar> SingleKv<T> {
             k_scales: Arc::new(k_scales),
             v_scales: Arc::new(v_scales),
         }
+    }
+
+    /// The lock-free read handle a worker gets on the arena.
+    pub fn store(&self) -> Arc<KvStore<T>> {
+        Arc::clone(self.writer.store())
+    }
+
+    /// The scales workers apply at stage time (only the fp8 arena needs
+    /// them).
+    pub fn scales(&self) -> DequantScales {
+        (Arc::clone(&self.k_scales), Arc::clone(&self.v_scales))
     }
 
     fn append(&mut self, id: u64, k: &[f32], v: &[f32]) -> Result<(), KvCacheError> {
@@ -264,22 +265,6 @@ impl KvBackend {
             KvBackend::Single(_) | KvBackend::Sharded(_) => KvDtype::F32,
             KvBackend::SingleF16(_) => KvDtype::F16,
             KvBackend::SingleFp8(_) => KvDtype::Fp8E4M3,
-        }
-    }
-
-    /// The single-shard storage arena workers read lock-free, tagged with
-    /// its dtype and dequant scales. Sharded workers get per-rank arenas
-    /// from the [`ShardedKvPool`] instead.
-    pub fn store_handle(&self) -> Option<StoreHandle> {
-        match self {
-            KvBackend::Single(p) => Some(StoreHandle::F32(Arc::clone(p.writer.store()))),
-            KvBackend::SingleF16(p) => Some(StoreHandle::F16(Arc::clone(p.writer.store()))),
-            KvBackend::SingleFp8(p) => Some(StoreHandle::Fp8 {
-                store: Arc::clone(p.writer.store()),
-                k_scales: Arc::clone(&p.k_scales),
-                v_scales: Arc::clone(&p.v_scales),
-            }),
-            KvBackend::Sharded(_) => None,
         }
     }
 }

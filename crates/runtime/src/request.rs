@@ -10,7 +10,7 @@
 //! bit-identically without access to the runtime's pool.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -125,6 +125,11 @@ pub enum RejectReason {
     /// geometry (row count ≠ prompt length, KV width or storage dtype
     /// differs, or the payload length is inconsistent).
     SnapshotMismatch,
+    /// The [`SubmitOptions`] combination has no meaning here: a token
+    /// stream on a [`SubmitMode::PrefillOnly`] leg (which decodes
+    /// nothing), or a migration leg handed to a cluster (which plans a
+    /// request's legs itself).
+    UnsupportedOptions,
 }
 
 /// Why a request was terminated before completing.
@@ -143,7 +148,7 @@ pub enum CancelReason {
 }
 
 /// One item of a request's token-by-token stream (see
-/// [`crate::Runtime::submit_with_stream`]).
+/// [`SubmitOptions::stream`]).
 ///
 /// Tokens arrive in decode order through the request's bounded channel;
 /// the terminal [`StreamItem::Done`] (or the channel closing) ends the
@@ -208,28 +213,100 @@ impl RequestOutcome {
     }
 }
 
-/// Client-side handle to a submitted request.
+/// How a submission traverses the request lifecycle: the normal full
+/// prefill+decode run, or one of the two legs of a disaggregated
+/// (prefill on one runtime, decode on another) request.
+#[derive(Debug, Clone, Default)]
+pub enum SubmitMode {
+    /// Prefill then decode `output_len` tokens.
+    #[default]
+    Full,
+    /// Run chunked prefill only; at the prefill/decode boundary export
+    /// the request's KV rows as a [`KvSnapshot`] on its
+    /// [`RequestHandle`], free its pages, and complete with zero outputs.
+    PrefillOnly,
+    /// Skip prefill: import the snapshot's KV rows at admission (no
+    /// prefill compute) and decode exactly as if the request had
+    /// prefilled here — bit-identical, because the snapshot carries the
+    /// pool reader's dequantized rows and re-quantization round-trips.
+    /// The snapshot must match the runtime's geometry (rows == normalized
+    /// prompt length, same KV width and storage dtype) or the request is
+    /// rejected with [`RejectReason::SnapshotMismatch`].
+    Resume(KvSnapshot),
+}
+
+/// Per-submission options of [`crate::Runtime::submit_with`] (and of the
+/// cluster's submit, which takes the same type).
+///
+/// Shared-prefix requests are only servable as [`SubmitMode::Full`] (on
+/// a migration leg the owner-held prefix rows would be missing from the
+/// export), and a `stream` on a [`SubmitMode::PrefillOnly`] leg is
+/// rejected with [`RejectReason::UnsupportedOptions`] — that leg decodes
+/// nothing.
+#[derive(Debug, Clone, Default)]
+pub struct SubmitOptions {
+    /// A caller-provided bounded token channel: each decoded row is
+    /// delivered as [`StreamItem::Token`] as soon as its step retires,
+    /// followed by a best-effort [`StreamItem::Done`]; the channel
+    /// closing is the authoritative end-of-stream. A full channel stalls
+    /// that request's decode (backpressure, counted in
+    /// `RuntimeMetrics::stream_stalls`); a dropped receiver cancels the
+    /// request with [`CancelReason::StreamDropped`].
+    pub stream: Option<SyncSender<StreamItem>>,
+    /// Which part of the lifecycle this submission runs.
+    pub leg: SubmitMode,
+}
+
+/// Client-side handle to a submitted request — the one handle type of
+/// the runtime, the cluster and the router's backends.
 ///
 /// Exactly one [`RequestOutcome`] is delivered per submission — also for
 /// rejected ones — so `submitted == completed + rejected + cancelled`
-/// reconciles exactly over any set of handles.
+/// reconciles exactly over any set of handles. A
+/// [`SubmitMode::PrefillOnly`] leg additionally exports a [`KvSnapshot`],
+/// sent *before* the terminal outcome: once the outcome reads
+/// `Completed`, [`RequestHandle::take_snapshot`] already returns it.
 #[derive(Debug)]
 pub struct RequestHandle {
-    pub(crate) id: u64,
-    pub(crate) cancel_flag: Arc<AtomicBool>,
-    pub(crate) outcome: mpsc::Receiver<RequestOutcome>,
+    id: u64,
+    cancel_flag: Arc<AtomicBool>,
+    outcome: Receiver<RequestOutcome>,
+    kv: Receiver<KvSnapshot>,
 }
 
 impl RequestHandle {
-    /// The runtime-assigned request id.
+    /// A connected `(handle, serving end)` pair for request `id`.
+    /// `stream` is the client's token channel, if it asked for one; it
+    /// travels with the serving end until a runtime admits the request.
+    pub fn pair(id: u64, stream: Option<SyncSender<StreamItem>>) -> (RequestHandle, ClientEnd) {
+        let cancel_flag = Arc::new(AtomicBool::new(false));
+        let (otx, orx) = mpsc::channel();
+        let (ktx, krx) = mpsc::channel();
+        (
+            RequestHandle {
+                id,
+                cancel_flag: Arc::clone(&cancel_flag),
+                outcome: orx,
+                kv: krx,
+            },
+            ClientEnd {
+                cancel: cancel_flag,
+                outcome: otx,
+                kv: ktx,
+                stream,
+            },
+        )
+    }
+
+    /// The request id assigned by whoever accepted the submission.
     pub fn id(&self) -> u64 {
         self.id
     }
 
-    /// Ask the scheduler to cancel the request. Takes effect at the next
-    /// scheduling step; the outcome is still delivered (as
-    /// [`RequestOutcome::Cancelled`] unless the request already
-    /// finished).
+    /// Ask for the request to be cancelled, wherever it currently is.
+    /// Takes effect at the next scheduling step; the outcome is still
+    /// delivered (as [`RequestOutcome::Cancelled`] unless the request
+    /// already finished).
     pub fn cancel(&self) {
         self.cancel_flag.store(true, Ordering::Release);
     }
@@ -239,7 +316,7 @@ impl RequestHandle {
         self.outcome
             .recv()
             .unwrap_or(RequestOutcome::Cancelled(CancelReason::Failed(
-                "runtime shut down before delivering an outcome".into(),
+                "shut down before delivering an outcome".into(),
             )))
     }
 
@@ -247,10 +324,60 @@ impl RequestHandle {
     pub fn try_wait(&self) -> Option<RequestOutcome> {
         self.outcome.try_recv().ok()
     }
+
+    /// The KV snapshot a completed [`SubmitMode::PrefillOnly`] leg
+    /// exported (non-blocking; `None` for every other leg and outcome).
+    pub fn take_snapshot(&self) -> Option<KvSnapshot> {
+        self.kv.try_recv().ok()
+    }
+}
+
+/// The serving side of one submission: what a runtime's scheduler — or
+/// a cluster engine in front of it — holds to observe the client's
+/// cancel flag and resolve its [`RequestHandle`].
+#[derive(Debug)]
+pub struct ClientEnd {
+    cancel: Arc<AtomicBool>,
+    outcome: Sender<RequestOutcome>,
+    kv: Sender<KvSnapshot>,
+    stream: Option<SyncSender<StreamItem>>,
+}
+
+impl ClientEnd {
+    /// True once the client called [`RequestHandle::cancel`].
+    pub fn cancelled(&self) -> bool {
+        self.cancel.load(Ordering::Acquire)
+    }
+
+    /// Hand the client's token channel to whoever decodes the request
+    /// (a scheduler at admission; a cluster engine forwarding the
+    /// submission to the replica that will decode it).
+    pub fn take_stream(&mut self) -> Option<SyncSender<StreamItem>> {
+        self.stream.take()
+    }
+
+    /// Export a prefill-only leg's KV. Must precede [`ClientEnd::deliver`].
+    pub(crate) fn send_snapshot(&self, snap: KvSnapshot) {
+        // The receiver may already be gone; the outcome still tells the
+        // client what happened.
+        let _ = self.kv.send(snap);
+    }
+
+    /// Resolve the handle. While the token channel is still here the
+    /// request was never admitted and has streamed nothing, so the
+    /// bounded channel has room for the terminal event unless the client
+    /// already walked away — best-effort either way.
+    pub fn deliver(&self, outcome: RequestOutcome) {
+        if let Some(tx) = &self.stream {
+            let _ = tx.try_send(StreamItem::Done(outcome.clone()));
+        }
+        // The client may have dropped its handle; that's its prerogative.
+        let _ = self.outcome.send(outcome);
+    }
 }
 
 // ---------------------------------------------------------------------------
-// KV migration: exported snapshots and the prefill-only handle.
+// KV migration: exported snapshots.
 // ---------------------------------------------------------------------------
 
 /// A request's finished prefill KV state, exported from one runtime's
@@ -291,65 +418,6 @@ impl KvSnapshot {
     /// migrates 4x fewer bytes than an f32 pool for the same rows).
     pub fn transfer_bytes(&self) -> usize {
         2 * self.rows * self.kv_width * self.kv_dtype.size_bytes()
-    }
-}
-
-/// Terminal state of a prefill-only submission.
-#[derive(Debug)]
-pub enum PrefillOutcome {
-    /// Prefill ran to completion; here are the request's KV pages.
-    Prefilled(KvSnapshot),
-    /// The prefill leg ended without KV (rejected or cancelled); the
-    /// inner outcome says why.
-    Failed(RequestOutcome),
-}
-
-/// Client-side handle to a prefill-only submission (see
-/// [`crate::Runtime::submit_prefill_only`]).
-///
-/// Wraps the usual [`RequestHandle`] plus the side channel the
-/// scheduler sends the exported [`KvSnapshot`] on. The snapshot is sent
-/// *before* the terminal outcome, so once the outcome reads
-/// `Completed` the snapshot is already receivable.
-#[derive(Debug)]
-pub struct PrefillHandle {
-    pub(crate) handle: RequestHandle,
-    pub(crate) kv: mpsc::Receiver<KvSnapshot>,
-}
-
-impl PrefillHandle {
-    /// The runtime-assigned request id.
-    pub fn id(&self) -> u64 {
-        self.handle.id()
-    }
-
-    /// Ask the scheduler to cancel the prefill leg.
-    pub fn cancel(&self) {
-        self.handle.cancel()
-    }
-
-    /// Block until the prefill leg finishes.
-    pub fn wait(self) -> PrefillOutcome {
-        let PrefillHandle { handle, kv } = self;
-        resolve_prefill(handle.wait(), &kv)
-    }
-
-    /// Non-blocking poll for the prefill outcome.
-    pub fn try_wait(&self) -> Option<PrefillOutcome> {
-        let outcome = self.handle.try_wait()?;
-        Some(resolve_prefill(outcome, &self.kv))
-    }
-}
-
-fn resolve_prefill(outcome: RequestOutcome, kv: &mpsc::Receiver<KvSnapshot>) -> PrefillOutcome {
-    match outcome {
-        RequestOutcome::Completed(_) => match kv.try_recv() {
-            Ok(snap) => PrefillOutcome::Prefilled(snap),
-            Err(_) => PrefillOutcome::Failed(RequestOutcome::Cancelled(CancelReason::Failed(
-                "prefill completed but its KV snapshot was lost".into(),
-            ))),
-        },
-        other => PrefillOutcome::Failed(other),
     }
 }
 

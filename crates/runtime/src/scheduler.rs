@@ -24,7 +24,7 @@
 //! might reference it.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -44,9 +44,9 @@ use fi_tensor::KvDtype;
 use crate::metrics::{RequestLatency, RuntimeMetrics, TenantLatency};
 use crate::pool::{KvBackend, SingleKv};
 use crate::request::{
-    effective_prefix_len, kv_row, prefix_token, q_row, CancelReason, CompletedRequest, KvSnapshot,
-    PrefillHandle, RejectReason, RequestHandle, RequestOutcome, RuntimeRequest, SharedPrefix,
-    StreamItem,
+    effective_prefix_len, kv_row, prefix_token, q_row, CancelReason, ClientEnd, CompletedRequest,
+    KvSnapshot, RejectReason, RequestHandle, RequestOutcome, RuntimeRequest, SharedPrefix,
+    StreamItem, SubmitMode, SubmitOptions,
 };
 use crate::worker::{
     sharded_worker_loop, worker_loop, GroupMember, GroupUnit, SingleUnit, WorkResult, WorkUnit,
@@ -136,9 +136,7 @@ impl RuntimeConfig {
     }
 }
 
-/// Storage precision of the runtime's KV arena, orthogonal to
-/// [`RuntimeConfig`] (companion options passed to [`Runtime::start_with`]
-/// so the config struct's literal surface stays stable).
+/// Storage precision of the runtime's KV arena ([`RuntimeOptions::precision`]).
 ///
 /// `F32` is the exact mode: rows round-trip bit-identically and kernel
 /// outputs match the sequential oracle exactly. `F16` halves stored and
@@ -176,8 +174,7 @@ impl KvPrecision {
 }
 
 /// Whether shared-prefix decode groups may fuse into multi-member
-/// cascade launches (companion option to
-/// [`Runtime::start_with_cascade`]).
+/// cascade launches ([`RuntimeOptions::cascade`]).
 ///
 /// Grouping never changes any request's output bits — the cascade level
 /// layouts are shaped so planner chunking is independent of group
@@ -193,6 +190,20 @@ pub enum CascadeMode {
     Auto,
     /// Never fuse (per-member prefix staging, bit-identical outputs).
     Off,
+}
+
+/// What [`Runtime::start_with`] takes besides the [`RuntimeConfig`]
+/// (kept out of it so the config struct's literal surface stays stable).
+/// The default is what [`Runtime::start`] runs: f32 KV, `Auto` cascade.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct RuntimeOptions {
+    /// KV storage precision. Reduced-precision arenas require
+    /// `tensor_parallel == 1` (the sharded pool stores f32).
+    pub precision: KvPrecision,
+    /// Shared-prefix grouping mode; `Off` lets benchmarks pin the flat
+    /// path and compare staged bytes against an otherwise identical
+    /// `Auto` run.
+    pub cascade: CascadeMode,
 }
 
 /// Runtime construction / configuration errors.
@@ -221,45 +232,17 @@ struct Gate {
     peak_depth: AtomicUsize,
 }
 
-/// How a submission traverses the request lifecycle: the normal full
-/// prefill+decode run, the exported-prefill leg of a disaggregated pair,
-/// or the resumed-decode leg fed by a migrated [`KvSnapshot`].
-enum SubmitMode {
-    /// Prefill then decode `output_len` tokens (the default).
-    Full,
-    /// Run chunked prefill only; at the prefill/decode boundary, export
-    /// the request's KV rows onto `kv` and complete with zero outputs.
-    PrefillOnly { kv: Sender<KvSnapshot> },
-    /// Skip prefill: import the snapshot's KV rows at admission and go
-    /// straight to decode. `Option` so admission can take the payload
-    /// without cloning (`None` after import).
-    Resume { kv: Option<Box<KvSnapshot>> },
-}
-
 /// An accepted submission travelling to the scheduler.
 struct Submission {
     id: u64,
     spec: RuntimeRequest,
-    cancel: Arc<AtomicBool>,
-    outcome: Sender<RequestOutcome>,
-    /// Bounded token channel for streaming submissions. Taken into an
-    /// [`StreamOut`] at admission; still present here only while the
-    /// request is queued (so a pre-admission terminal outcome can close
-    /// the stream with a `Done`).
-    stream: Option<SyncSender<StreamItem>>,
+    /// Resolves the client's handle. Still holds the token channel only
+    /// while the request is queued; admission takes it into a
+    /// [`StreamOut`].
+    client: ClientEnd,
     submitted_at: Instant,
+    /// A resumed leg's snapshot is taken at admission, leaving `Full`.
     mode: SubmitMode,
-}
-
-fn deliver(sub: &Submission, outcome: RequestOutcome) {
-    // A queued (never-admitted) streaming submission has sent no tokens,
-    // so the bounded channel has room for the terminal event unless the
-    // client already walked away — best-effort either way.
-    if let Some(tx) = &sub.stream {
-        let _ = tx.try_send(StreamItem::Done(outcome.clone()));
-    }
-    // The client may have dropped its handle; that's its prerogative.
-    let _ = sub.outcome.send(outcome);
 }
 
 /// The scheduler's end of one request's bounded token stream: tokens are
@@ -338,7 +321,7 @@ pub struct Runtime {
     /// requests on the sharded backend without a scheduler round-trip.
     tensor_parallel: usize,
     /// Mirrored KV row width (`num_kv_heads * head_dim`) for gate-side
-    /// snapshot validation on [`Runtime::submit_resumed`].
+    /// validation of [`SubmitMode::Resume`] snapshots.
     kv_width: usize,
     /// Mirrored KV storage dtype — resumed snapshots must match it for
     /// the bit-exactness guarantee to hold.
@@ -346,28 +329,15 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Spawn the scheduler and worker threads with full-precision (f32)
-    /// KV storage.
+    /// Spawn the scheduler and worker threads with the default
+    /// [`RuntimeOptions`].
     pub fn start(cfg: RuntimeConfig) -> Result<Runtime, RuntimeError> {
-        Runtime::start_with(cfg, KvPrecision::default())
+        Runtime::start_with(cfg, RuntimeOptions::default())
     }
 
-    /// Spawn the scheduler and worker threads with the given KV storage
-    /// precision. Reduced-precision arenas require `tensor_parallel == 1`
-    /// (the sharded pool stores f32). Shared-prefix grouping runs in
-    /// [`CascadeMode::Auto`].
-    pub fn start_with(cfg: RuntimeConfig, precision: KvPrecision) -> Result<Runtime, RuntimeError> {
-        Runtime::start_with_cascade(cfg, precision, CascadeMode::Auto)
-    }
-
-    /// [`Runtime::start_with`] plus an explicit [`CascadeMode`], so
-    /// benchmarks can pin the flat path and compare staged bytes against
-    /// an otherwise identical `Auto` run.
-    pub fn start_with_cascade(
-        cfg: RuntimeConfig,
-        precision: KvPrecision,
-        cascade: CascadeMode,
-    ) -> Result<Runtime, RuntimeError> {
+    /// Spawn the scheduler and worker threads.
+    pub fn start_with(cfg: RuntimeConfig, opts: RuntimeOptions) -> Result<Runtime, RuntimeError> {
+        let RuntimeOptions { precision, cascade } = opts;
         cfg.validate()?;
         if cfg.tensor_parallel > 1 && precision.dtype != KvDtype::F32 {
             return Err(RuntimeError::InvalidConfig(
@@ -431,107 +401,18 @@ impl Runtime {
     /// Submit a request. Always returns a handle; exactly one outcome is
     /// delivered per submission, including queue-full rejections.
     pub fn submit(&self, req: RuntimeRequest) -> RequestHandle {
-        self.submit_inner(req, None, SubmitMode::Full)
+        self.submit_with(req, SubmitOptions::default())
     }
 
-    /// Submit with a caller-provided bounded token channel: each decoded
-    /// row is delivered as [`StreamItem::Token`] as soon as its step
-    /// retires, followed by a best-effort [`StreamItem::Done`]; the
-    /// channel closing is the authoritative end-of-stream. A full channel
-    /// stalls that request's decode (backpressure, counted in
-    /// [`RuntimeMetrics::stream_stalls`]); a dropped receiver cancels the
-    /// request with [`CancelReason::StreamDropped`].
-    pub fn submit_with_stream(
-        &self,
-        req: RuntimeRequest,
-        stream: SyncSender<StreamItem>,
-    ) -> RequestHandle {
-        self.submit_inner(req, Some(stream), SubmitMode::Full)
-    }
-
-    /// [`Runtime::submit_with_stream`] with the channel created here:
-    /// returns the handle and the receiving end of a bounded channel of
-    /// `capacity` items (minimum 1).
-    pub fn submit_streaming(
-        &self,
-        req: RuntimeRequest,
-        capacity: usize,
-    ) -> (RequestHandle, Receiver<StreamItem>) {
-        let (tx, rx) = mpsc::sync_channel(capacity.max(1));
-        (self.submit_inner(req, Some(tx), SubmitMode::Full), rx)
-    }
-
-    /// Submit the prefill leg of a disaggregated request: the scheduler
-    /// runs chunked prefill as usual, then — instead of decoding —
-    /// exports the request's KV rows as a [`KvSnapshot`], frees its
-    /// pages, and completes the request with zero outputs. The snapshot
-    /// is sent on the handle's side channel *before* the terminal
-    /// outcome. Shared-prefix requests are rejected
-    /// ([`RejectReason::PrefixUnsupported`]): their prefix rows live
-    /// under the radix owner and would be missing from the export.
-    pub fn submit_prefill_only(&self, req: RuntimeRequest) -> PrefillHandle {
-        let (ktx, krx) = mpsc::channel();
-        let handle = self.submit_inner(req, None, SubmitMode::PrefillOnly { kv: ktx });
-        PrefillHandle { handle, kv: krx }
-    }
-
-    /// Submit the decode leg of a disaggregated request: the snapshot's
-    /// rows are imported into the KV pool at admission (no prefill
-    /// compute) and the request decodes `output_len` tokens exactly as
-    /// if it had prefilled here — bit-identical, because the snapshot
-    /// carries the pool reader's dequantized rows and re-quantization
-    /// round-trips. The snapshot must match this runtime's geometry
-    /// (rows == normalized prompt length, same KV width and storage
-    /// dtype) or the request is rejected with
-    /// [`RejectReason::SnapshotMismatch`].
-    pub fn submit_resumed(&self, req: RuntimeRequest, kv: KvSnapshot) -> RequestHandle {
-        self.submit_inner(
-            req,
-            None,
-            SubmitMode::Resume {
-                kv: Some(Box::new(kv)),
-            },
-        )
-    }
-
-    /// [`Runtime::submit_resumed`] with a streaming token channel (same
-    /// semantics as [`Runtime::submit_with_stream`]).
-    pub fn submit_resumed_with_stream(
-        &self,
-        req: RuntimeRequest,
-        kv: KvSnapshot,
-        stream: SyncSender<StreamItem>,
-    ) -> RequestHandle {
-        self.submit_inner(
-            req,
-            Some(stream),
-            SubmitMode::Resume {
-                kv: Some(Box::new(kv)),
-            },
-        )
-    }
-
-    fn submit_inner(
-        &self,
-        req: RuntimeRequest,
-        stream: Option<SyncSender<StreamItem>>,
-        mode: SubmitMode,
-    ) -> RequestHandle {
+    /// [`Runtime::submit`] with a token stream and/or a migration leg;
+    /// see [`SubmitOptions`].
+    pub fn submit_with(&self, req: RuntimeRequest, opts: SubmitOptions) -> RequestHandle {
+        let SubmitOptions { stream, leg } = opts;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let cancel_flag = Arc::new(AtomicBool::new(false));
-        let (otx, orx) = mpsc::channel();
         self.gate.submitted.fetch_add(1, Ordering::Relaxed);
-        let sub = Submission {
-            id,
-            spec: req.normalized(),
-            cancel: Arc::clone(&cancel_flag),
-            outcome: otx,
-            stream,
-            submitted_at: Instant::now(),
-            mode,
-        };
-        let reject = if sub.spec.prefix.is_some()
-            && (self.tensor_parallel > 1 || !matches!(sub.mode, SubmitMode::Full))
+        let spec = req.normalized();
+        let reject = if spec.prefix.is_some()
+            && (self.tensor_parallel > 1 || !matches!(leg, SubmitMode::Full))
         {
             // Prefix grouping assumes the single-shard executor and the
             // full lifecycle (migration legs would lose the owner-held
@@ -539,10 +420,12 @@ impl Runtime {
             // never incremented — so the scheduler never sees a request
             // it cannot serve.
             Some(RejectReason::PrefixUnsupported)
-        } else if let SubmitMode::Resume { kv: Some(snap) } = &sub.mode {
+        } else if stream.is_some() && matches!(leg, SubmitMode::PrefillOnly) {
+            Some(RejectReason::UnsupportedOptions)
+        } else if let SubmitMode::Resume(snap) = &leg {
             let n = snap.rows * self.kv_width;
             let geometry_ok = snap.kv_width == self.kv_width
-                && snap.rows == sub.spec.prompt_len
+                && snap.rows == spec.prompt_len
                 && snap.kv_dtype == self.kv_dtype
                 && snap.k.len() == n
                 && snap.v.len() == n;
@@ -550,15 +433,19 @@ impl Runtime {
         } else {
             None
         };
+        let (handle, client) = RequestHandle::pair(id, stream);
         if let Some(reason) = reject {
             self.gate.gate_rejected.fetch_add(1, Ordering::Relaxed);
-            deliver(&sub, RequestOutcome::Rejected(reason));
-            return RequestHandle {
-                id,
-                cancel_flag,
-                outcome: orx,
-            };
+            client.deliver(RequestOutcome::Rejected(reason));
+            return handle;
         }
+        let sub = Submission {
+            id,
+            spec,
+            client,
+            submitted_at: Instant::now(),
+            mode: leg,
+        };
         let tx = self.tx.as_ref().expect("live until finish()");
         // Count the submission in the depth *before* it becomes visible
         // to the scheduler — the scheduler's decrement-on-drain must
@@ -570,14 +457,11 @@ impl Runtime {
             Err(TrySendError::Full(sub)) | Err(TrySendError::Disconnected(sub)) => {
                 self.gate.depth.fetch_sub(1, Ordering::Relaxed);
                 self.gate.gate_rejected.fetch_add(1, Ordering::Relaxed);
-                deliver(&sub, RequestOutcome::Rejected(RejectReason::QueueFull));
+                sub.client
+                    .deliver(RequestOutcome::Rejected(RejectReason::QueueFull));
             }
         }
-        RequestHandle {
-            id,
-            cancel_flag,
-            outcome: orx,
-        }
+        handle
     }
 
     /// Submissions currently queued (admitted requests not included).
@@ -878,9 +762,9 @@ impl Scheduler {
                 self.flushing.push(s);
             }
         }
-        // `a.sub.stream` was taken at admission, so this only resolves
+        // The token channel was taken at admission, so this only resolves
         // the handle.
-        deliver(&a.sub, outcome);
+        a.sub.client.deliver(outcome);
     }
 
     fn spawn_workers(&mut self) {
@@ -893,25 +777,37 @@ impl Scheduler {
         for w in 0..self.cfg.num_workers {
             let (unit_tx, unit_rx) = mpsc::channel();
             let res_tx = res_tx.clone();
-            let handle = match &self.pool {
+            // The arena's storage dtype is fixed here, once per worker:
+            // f32 arenas run the exact path, f16/fp8 arenas the same
+            // generic kernel with widen-on-stage (and, for fp8, the
+            // per-KV-head dequantization scales applied during staging).
+            let body: Box<dyn FnOnce() -> WorkerReport + Send> = match &self.pool {
+                KvBackend::Single(p) => {
+                    let store = p.store();
+                    Box::new(move || worker_loop(wcfg, store, None, unit_rx, res_tx))
+                }
+                KvBackend::SingleF16(p) => {
+                    let store = p.store();
+                    Box::new(move || worker_loop(wcfg, store, None, unit_rx, res_tx))
+                }
+                KvBackend::SingleFp8(p) => {
+                    let (store, scales) = (p.store(), p.scales());
+                    Box::new(move || worker_loop(wcfg, store, Some(scales), unit_rx, res_tx))
+                }
                 KvBackend::Sharded(p) => {
                     let pool = Arc::clone(p);
-                    std::thread::Builder::new()
-                        .name(format!("fi-runtime-tp-worker-{w}"))
-                        .spawn(move || sharded_worker_loop(wcfg, pool, unit_rx, res_tx))
-                        .expect("spawn tp worker")
-                }
-                _ => {
-                    let store = self
-                        .pool
-                        .store_handle()
-                        .expect("single backend has a store");
-                    std::thread::Builder::new()
-                        .name(format!("fi-runtime-worker-{w}"))
-                        .spawn(move || worker_loop(wcfg, store, unit_rx, res_tx))
-                        .expect("spawn worker")
+                    Box::new(move || sharded_worker_loop(wcfg, pool, unit_rx, res_tx))
                 }
             };
+            let tp = if self.cfg.tensor_parallel > 1 {
+                "tp-"
+            } else {
+                ""
+            };
+            let handle = std::thread::Builder::new()
+                .name(format!("fi-runtime-{tp}worker-{w}"))
+                .spawn(body)
+                .expect("spawn worker");
             self.worker_tx.push(unit_tx);
             self.workers.push(handle);
         }
@@ -972,7 +868,7 @@ impl Scheduler {
     }
 
     fn cancel_state(sub: &Submission) -> Option<CancelReason> {
-        if sub.cancel.load(Ordering::Acquire) {
+        if sub.client.cancelled() {
             return Some(CancelReason::User);
         }
         if let Some(d) = sub.spec.deadline {
@@ -987,7 +883,7 @@ impl Scheduler {
         let metrics = &mut self.metrics;
         self.pending.retain(|s| match Self::cancel_state(s) {
             Some(r) => {
-                deliver(s, RequestOutcome::Cancelled(r));
+                s.client.deliver(RequestOutcome::Cancelled(r));
                 metrics.cancelled += 1;
                 false
             }
@@ -1181,7 +1077,7 @@ impl Scheduler {
                 // exported and freed at the prefill boundary, so no
                 // decode-token headroom is costed.
                 output_len: match front.mode {
-                    SubmitMode::PrefillOnly { .. } => 0,
+                    SubmitMode::PrefillOnly => 0,
                     _ => front.spec.output_len,
                 },
                 arrival: 0.0,
@@ -1212,7 +1108,8 @@ impl Scheduler {
                     let mut sub = self.pending.pop_front().expect("front exists");
                     if let Some(p) = prefix {
                         if let Err(msg) = self.ensure_prefix_entry(p) {
-                            deliver(&sub, RequestOutcome::Cancelled(CancelReason::Failed(msg)));
+                            sub.client
+                                .deliver(RequestOutcome::Cancelled(CancelReason::Failed(msg)));
                             self.metrics.cancelled += 1;
                             continue;
                         }
@@ -1228,13 +1125,16 @@ impl Scheduler {
                     self.kv_used += base.reserve;
                     self.metrics.admitted += 1;
                     let target = sub.spec.prompt_len - cached;
-                    let stream = sub.stream.take().map(StreamOut::new);
+                    let stream = sub.client.take_stream().map(StreamOut::new);
                     // A resumed request's KV arrives in its snapshot, not
                     // from prefill compute: take the payload now, import
                     // after the Active exists, and start in Decode.
-                    let resume_kv = match &mut sub.mode {
-                        SubmitMode::Resume { kv } => kv.take(),
-                        _ => None,
+                    let resume_kv = match std::mem::take(&mut sub.mode) {
+                        SubmitMode::Resume(snap) => Some(snap),
+                        other => {
+                            sub.mode = other;
+                            None
+                        }
                     };
                     let id = sub.id;
                     let phase = if resume_kv.is_some() {
@@ -1267,7 +1167,8 @@ impl Scheduler {
                 }
                 AdmissionVerdict::RejectOversize => {
                     let sub = self.pending.pop_front().expect("front exists");
-                    deliver(&sub, RequestOutcome::Rejected(RejectReason::Oversize));
+                    sub.client
+                        .deliver(RequestOutcome::Rejected(RejectReason::Oversize));
                     self.metrics.rejected += 1;
                 }
                 AdmissionVerdict::Defer => break,
@@ -1499,10 +1400,10 @@ impl Scheduler {
 
     /// Retire a prefill-only request at the prefill/decode boundary:
     /// read its rows out of the pool (before releasing the pages), send
-    /// the [`KvSnapshot`] on the side channel, then complete the request
-    /// with zero outputs. The snapshot send happens-before the outcome
-    /// delivery, which is what lets [`PrefillHandle`] resolve a
-    /// `Completed` outcome into a snapshot non-blockingly. Counts toward
+    /// the [`KvSnapshot`] to the handle, then complete the request with
+    /// zero outputs. The snapshot send happens-before the outcome
+    /// delivery, which is what lets a poller that saw `Completed` call
+    /// [`RequestHandle::take_snapshot`] without blocking. Counts toward
     /// `serving.completed` (so reconciliation holds) but contributes no
     /// TTFT sample and no tenant completion — the decode replica owns
     /// the request's latency story.
@@ -1520,11 +1421,7 @@ impl Scheduler {
                 };
                 self.metrics.kv_exports += 1;
                 self.metrics.kv_export_rows += snap.rows as u64;
-                if let SubmitMode::PrefillOnly { kv } = &a.sub.mode {
-                    // The receiver may already be gone; the outcome still
-                    // tells the client what happened.
-                    let _ = kv.send(snap);
-                }
+                a.sub.client.send_snapshot(snap);
                 self.release(&a);
                 let preemptions = a.preemptions;
                 self.finish_active(
@@ -1820,7 +1717,7 @@ impl Scheduler {
                     let nd = done + a.staged;
                     a.staged = 0;
                     if nd >= target {
-                        if matches!(a.sub.mode, SubmitMode::PrefillOnly { .. }) {
+                        if matches!(a.sub.mode, SubmitMode::PrefillOnly) {
                             // Disaggregated prefill leg: export at the
                             // prefill/decode boundary instead of decoding.
                             self.export_prefill_only(i);
@@ -1913,7 +1810,6 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::PrefillOutcome;
     use std::time::Duration;
 
     fn tiny_cfg() -> RuntimeConfig {
@@ -1921,6 +1817,27 @@ mod tests {
             num_workers: 2,
             ..RuntimeConfig::default()
         }
+    }
+
+    fn with_precision(precision: KvPrecision) -> RuntimeOptions {
+        RuntimeOptions {
+            precision,
+            ..RuntimeOptions::default()
+        }
+    }
+
+    /// A full-lifecycle submission streaming into a fresh bounded channel.
+    fn stream_request(
+        rt: &Runtime,
+        req: RuntimeRequest,
+        capacity: usize,
+    ) -> (RequestHandle, Receiver<StreamItem>) {
+        let (tx, rx) = mpsc::sync_channel(capacity);
+        let opts = SubmitOptions {
+            stream: Some(tx),
+            ..SubmitOptions::default()
+        };
+        (rt.submit_with(req, opts), rx)
     }
 
     #[test]
@@ -2031,7 +1948,7 @@ mod tests {
                 "f8e4m3",
             ),
         ] {
-            let rt = Runtime::start_with(tiny_cfg(), precision).unwrap();
+            let rt = Runtime::start_with(tiny_cfg(), with_precision(precision)).unwrap();
             let h = rt.submit(RuntimeRequest::new(12, 5, 7));
             let out = h.wait().completed().expect("completes");
             assert_eq!(out.outputs.len(), 5);
@@ -2058,7 +1975,7 @@ mod tests {
             heads: HeadConfig::new(4, 2, 16).unwrap(),
             ..RuntimeConfig::default()
         };
-        assert!(Runtime::start_with(cfg, KvPrecision::of(KvDtype::F16)).is_err());
+        assert!(Runtime::start_with(cfg, with_precision(KvPrecision::of(KvDtype::F16))).is_err());
     }
 
     #[test]
@@ -2068,7 +1985,10 @@ mod tests {
                 dtype: KvDtype::Fp8E4M3,
                 fp8_kv_scale: bad,
             };
-            assert!(Runtime::start_with(tiny_cfg(), p).is_err(), "scale {bad}");
+            assert!(
+                Runtime::start_with(tiny_cfg(), with_precision(p)).is_err(),
+                "scale {bad}"
+            );
         }
     }
 
@@ -2115,8 +2035,11 @@ mod tests {
             heads: HeadConfig::new(4, 2, 8).unwrap(),
             ..RuntimeConfig::default()
         };
-        let rt =
-            Runtime::start_with_cascade(cfg, KvPrecision::default(), CascadeMode::Off).unwrap();
+        let opts = RuntimeOptions {
+            cascade: CascadeMode::Off,
+            ..RuntimeOptions::default()
+        };
+        let rt = Runtime::start_with(cfg, opts).unwrap();
         let handles: Vec<_> = (0..4)
             .map(|i| rt.submit(RuntimeRequest::new(40, 8, 200 + i).with_shared_prefix(9, 32)))
             .collect();
@@ -2152,74 +2075,107 @@ mod tests {
         assert!(m.reconciles());
     }
 
+    /// Every representable `(leg, stream?)` pair of [`SubmitOptions`]:
+    /// decoding legs produce the bits a plain `submit` does (on the
+    /// handle and, if asked, on the stream), the prefill-only leg exports
+    /// its snapshot *before* its outcome, and the one meaningless pair is
+    /// rejected at the gate.
     #[test]
-    fn prefill_only_exports_snapshot_and_frees_pages() {
-        let rt = Runtime::start(tiny_cfg()).unwrap();
-        let h = rt.submit_prefill_only(RuntimeRequest::new(13, 6, 7));
-        let snap = match h.wait() {
-            PrefillOutcome::Prefilled(s) => s,
-            PrefillOutcome::Failed(o) => panic!("prefill leg failed: {o:?}"),
-        };
-        assert_eq!(snap.rows, 13);
-        assert_eq!(snap.seed, 7);
-        let w = RuntimeConfig::default().heads.kv_width();
-        assert_eq!(snap.kv_width, w);
-        assert_eq!(snap.k.len(), 13 * w);
-        assert_eq!(snap.v.len(), 13 * w);
-        // The exported rows are exactly the deterministic prompt rows.
-        for pos in 0..13 {
-            assert_eq!(snap.k[pos * w..(pos + 1) * w], kv_row(7, pos, w, false));
-            assert_eq!(snap.v[pos * w..(pos + 1) * w], kv_row(7, pos, w, true));
-        }
-        assert_eq!(snap.kv_dtype, KvDtype::F32);
-        assert_eq!(snap.transfer_bytes(), 2 * 13 * w * 4);
-        let m = rt.finish();
-        assert_eq!(m.completed(), 1);
-        assert_eq!(m.kv_exports, 1);
-        assert_eq!(m.kv_export_rows, 13);
-        assert!(m.reconciles());
-        assert!(m.kv_pool_drained(), "exported pages must be freed");
-        assert!(m.serving.ttft.is_empty(), "prefill leg emits no TTFT");
-    }
-
-    #[test]
-    fn resumed_decode_is_bit_identical_to_full_run() {
+    fn every_leg_and_stream_pair_matches_plain_submit() {
         let (prompt, out_len, seed) = (13usize, 6usize, 7u64);
-        // Reference: the full lifecycle on one runtime.
+        let req = RuntimeRequest::new(prompt, out_len, seed);
+        let w = RuntimeConfig::default().heads.kv_width();
+
         let rt = Runtime::start(tiny_cfg()).unwrap();
-        let reference = rt
-            .submit(RuntimeRequest::new(prompt, out_len, seed))
-            .wait()
-            .completed()
-            .expect("completes");
+        let reference = rt.submit(req).wait().completed().expect("completes");
+        assert_eq!(reference.outputs.len(), out_len);
         rt.finish();
 
-        // Disaggregated: prefill on one runtime, decode on another.
-        let pre = Runtime::start(tiny_cfg()).unwrap();
-        let snap = match pre
-            .submit_prefill_only(RuntimeRequest::new(prompt, out_len, seed))
-            .wait()
-        {
-            PrefillOutcome::Prefilled(s) => s,
-            PrefillOutcome::Failed(o) => panic!("prefill leg failed: {o:?}"),
-        };
-        let pm = pre.finish();
-        assert!(pm.reconciles() && pm.kv_pool_drained());
+        // What the prefill-only row exports is what the resume rows import.
+        let mut exported: Option<KvSnapshot> = None;
 
-        let dec = Runtime::start(tiny_cfg()).unwrap();
-        let resumed = dec
-            .submit_resumed(RuntimeRequest::new(prompt, out_len, seed), snap)
-            .wait()
-            .completed()
-            .expect("resumed leg completes");
-        assert_eq!(
-            resumed.outputs, reference.outputs,
-            "migration must not change bits"
-        );
-        let dm = dec.finish();
-        assert_eq!(dm.kv_imports, 1);
-        assert_eq!(dm.kv_import_rows, prompt as u64);
-        assert!(dm.reconciles() && dm.kv_pool_drained());
+        for name in ["full", "prefill-only", "resume"] {
+            for streaming in [false, true] {
+                let row = format!("{name} leg, streaming={streaming}");
+                let leg = match name {
+                    "full" => SubmitMode::Full,
+                    "prefill-only" => SubmitMode::PrefillOnly,
+                    _ => SubmitMode::Resume(exported.clone().expect("prefill-only row ran")),
+                };
+                let decodes = !matches!(leg, SubmitMode::PrefillOnly);
+                let resumes = matches!(leg, SubmitMode::Resume(_));
+                let rt = Runtime::start(tiny_cfg()).unwrap();
+                let (stream, rx) = if streaming {
+                    let (tx, rx) = mpsc::sync_channel(2);
+                    (Some(tx), Some(rx))
+                } else {
+                    (None, None)
+                };
+                let h = rt.submit_with(req, SubmitOptions { stream, leg });
+
+                let mut streamed: Vec<Vec<f32>> = Vec::new();
+                let mut done = None;
+                for item in rx.into_iter().flatten() {
+                    match item {
+                        StreamItem::Token { index, row } => {
+                            assert_eq!(index, streamed.len(), "tokens arrive in order");
+                            streamed.push(row);
+                        }
+                        StreamItem::Done(o) => done = Some(o),
+                    }
+                }
+                let outcome = loop {
+                    match h.try_wait() {
+                        Some(o) => break o,
+                        None => std::thread::sleep(Duration::from_micros(100)),
+                    }
+                };
+                // No waiting between the outcome and this poll: a snapshot
+                // sent after the outcome would be missed.
+                let snap = h.take_snapshot();
+                let m = rt.finish();
+                assert!(m.reconciles(), "{row}");
+                assert!(m.kv_pool_drained(), "{row}");
+
+                if !decodes && streaming {
+                    let rejected = RequestOutcome::Rejected(RejectReason::UnsupportedOptions);
+                    assert_eq!(outcome, rejected, "{row}");
+                    assert_eq!(done, Some(rejected), "{row}: the stream is told too");
+                    assert!(streamed.is_empty() && snap.is_none(), "{row}");
+                    assert_eq!((m.rejected, m.kv_exports), (1, 0), "{row}");
+                    continue;
+                }
+                let out = outcome.completed().expect("completes");
+                assert_eq!(m.completed(), 1, "{row}");
+                if decodes {
+                    assert_eq!(out.outputs, reference.outputs, "{row}: handle rows");
+                    assert!(snap.is_none(), "{row}: only prefill legs export");
+                    assert_eq!(m.kv_exports, 0, "{row}");
+                    assert_eq!(m.kv_imports, u64::from(resumes), "{row}");
+                    assert_eq!(m.kv_import_rows, if resumes { prompt as u64 } else { 0 });
+                    if streaming {
+                        assert_eq!(streamed, reference.outputs, "{row}: streamed rows");
+                        assert!(matches!(done, Some(RequestOutcome::Completed(_))), "{row}");
+                    }
+                } else {
+                    assert!(
+                        out.outputs.is_empty(),
+                        "{row}: a prefill leg decodes nothing"
+                    );
+                    let snap = snap.expect("snapshot is sent before the outcome");
+                    assert_eq!((snap.rows, snap.seed, snap.kv_width), (prompt, seed, w));
+                    assert_eq!(snap.kv_dtype, KvDtype::F32);
+                    assert_eq!(snap.transfer_bytes(), 2 * prompt * w * 4);
+                    for pos in 0..prompt {
+                        assert_eq!(snap.k[pos * w..(pos + 1) * w], kv_row(seed, pos, w, false));
+                        assert_eq!(snap.v[pos * w..(pos + 1) * w], kv_row(seed, pos, w, true));
+                    }
+                    assert_eq!((m.kv_exports, m.kv_export_rows), (1, prompt as u64));
+                    assert!(m.serving.ttft.is_empty(), "prefill leg emits no TTFT");
+                    exported = Some(snap);
+                }
+            }
+        }
     }
 
     #[test]
@@ -2235,17 +2191,24 @@ mod tests {
             k: vec![0.0; 4 * w],
             v: vec![0.0; 4 * w],
         };
-        let h = rt.submit_resumed(RuntimeRequest::new(9, 3, 7), snap);
+        let leg = |leg| SubmitOptions {
+            leg,
+            ..SubmitOptions::default()
+        };
+        let h = rt.submit_with(RuntimeRequest::new(9, 3, 7), leg(SubmitMode::Resume(snap)));
         assert_eq!(
             h.wait(),
             RequestOutcome::Rejected(RejectReason::SnapshotMismatch)
         );
         // Prefix requests cannot ride the migration legs.
-        let ph = rt.submit_prefill_only(RuntimeRequest::new(24, 4, 7).with_shared_prefix(9, 16));
-        match ph.wait() {
-            PrefillOutcome::Failed(RequestOutcome::Rejected(RejectReason::PrefixUnsupported)) => {}
-            other => panic!("expected PrefixUnsupported, got {other:?}"),
-        }
+        let ph = rt.submit_with(
+            RuntimeRequest::new(24, 4, 7).with_shared_prefix(9, 16),
+            leg(SubmitMode::PrefillOnly),
+        );
+        assert_eq!(
+            ph.wait(),
+            RequestOutcome::Rejected(RejectReason::PrefixUnsupported)
+        );
         let m = rt.finish();
         assert_eq!(m.rejected, 2);
         assert!(m.reconciles());
@@ -2265,36 +2228,12 @@ mod tests {
     }
 
     #[test]
-    fn streaming_delivers_the_same_rows_as_the_handle() {
-        let rt = Runtime::start(tiny_cfg()).unwrap();
-        let (h, rx) = rt.submit_streaming(RuntimeRequest::new(12, 6, 7), 2);
-        let mut streamed: Vec<Vec<f32>> = Vec::new();
-        let mut done = None;
-        for item in rx {
-            match item {
-                StreamItem::Token { index, row } => {
-                    assert_eq!(index, streamed.len(), "tokens arrive in order");
-                    streamed.push(row);
-                }
-                StreamItem::Done(o) => done = Some(o),
-            }
-        }
-        let out = h.wait().completed().expect("completes");
-        assert_eq!(streamed, out.outputs, "streamed rows match the handle's");
-        assert!(matches!(done, Some(RequestOutcome::Completed(_))));
-        let m = rt.finish();
-        assert_eq!(m.completed(), 1);
-        assert!(m.reconciles());
-        assert!(m.kv_pool_drained());
-    }
-
-    #[test]
     fn full_stream_channel_stalls_but_never_drops_tokens() {
         // Capacity 1 with a slow reader: the scheduler must pause that
         // request's decode instead of dropping or blocking, and every
         // token must still arrive.
         let rt = Runtime::start(tiny_cfg()).unwrap();
-        let (h, rx) = rt.submit_streaming(RuntimeRequest::new(8, 12, 3), 1);
+        let (h, rx) = stream_request(&rt, RuntimeRequest::new(8, 12, 3), 1);
         let mut n = 0;
         for item in rx {
             if matches!(item, StreamItem::Token { .. }) {
@@ -2313,7 +2252,7 @@ mod tests {
     #[test]
     fn dropped_stream_receiver_cancels_and_frees_pages() {
         let rt = Runtime::start(tiny_cfg()).unwrap();
-        let (h, rx) = rt.submit_streaming(RuntimeRequest::new(8, 1500, 5), 1);
+        let (h, rx) = stream_request(&rt, RuntimeRequest::new(8, 1500, 5), 1);
         // Read one token so the request is mid-generation, then walk away.
         let first = rx.recv().expect("first token");
         assert!(matches!(first, StreamItem::Token { index: 0, .. }));

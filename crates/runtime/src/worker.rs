@@ -35,7 +35,7 @@ use fi_serving::PipelineObservables;
 use fi_sparse::page::PageTable;
 use fi_tensor::{RaggedTensor, Scalar};
 
-use crate::pool::StoreHandle;
+use crate::pool::DequantScales;
 
 /// One attention launch for one request.
 #[derive(Debug, Clone)]
@@ -147,16 +147,55 @@ pub(crate) struct WorkerReport {
     pub comm: CommStats,
 }
 
+/// Send one [`WorkResult`] per `(req_id, token_index)` in `ids` — the
+/// unit's output rows in order, or its error repeated — because the
+/// scheduler counts `result_count()` messages per unit, success or
+/// failure. False once the scheduler is gone (the worker shuts down).
+fn emit<I: IntoIterator<Item = Vec<f32>>>(
+    tx: &Sender<WorkResult>,
+    ids: impl Iterator<Item = (u64, Option<usize>)>,
+    result: Result<I, WorkerError>,
+) -> bool {
+    let (mut outs, err) = match result {
+        Ok(outs) => (Some(outs.into_iter()), None),
+        Err(e) => (None, Some(e)),
+    };
+    for (req_id, token_index) in ids {
+        let msg = WorkResult {
+            req_id,
+            token_index,
+            out: outs.as_mut().and_then(Iterator::next).unwrap_or_default(),
+            err: err.clone(),
+        };
+        if tx.send(msg).is_err() {
+            return false;
+        }
+    }
+    true
+}
+
+impl SingleUnit {
+    fn ids(&self) -> impl Iterator<Item = (u64, Option<usize>)> {
+        std::iter::once((self.req_id, self.token_index))
+    }
+}
+
+impl GroupUnit {
+    fn ids(&self) -> impl Iterator<Item = (u64, Option<usize>)> + '_ {
+        self.members.iter().map(|m| (m.req_id, Some(m.token_index)))
+    }
+}
+
 /// Worker body: drain units until the scheduler drops the sender, then
 /// return the pipeline's accumulated observables for the final report.
 ///
-/// The handle fixes the arena's storage dtype for the life of the worker:
-/// f32 arenas run the exact path, f16/fp8 arenas stage through the same
-/// generic kernel with widen-on-stage (and, for fp8, per-KV-head
-/// dequantization scales applied during staging).
-pub(crate) fn worker_loop(
+/// `TKV` is the arena's storage dtype, fixed for the life of the worker;
+/// `dequant` carries the per-KV-head `(k, v)` scales an fp8 arena applies
+/// during staging (`None` for f32 and f16 arenas).
+pub(crate) fn worker_loop<TKV: Scalar>(
     cfg: WorkerConfig,
-    handle: StoreHandle,
+    store: Arc<KvStore<TKV>>,
+    dequant: Option<DequantScales>,
     rx: Receiver<WorkUnit>,
     tx: Sender<WorkResult>,
 ) -> WorkerReport {
@@ -173,102 +212,26 @@ pub(crate) fn worker_loop(
     .expect("worker pipeline config validated at runtime start");
     let params = VariantParams::for_head_dim(cfg.heads.head_dim);
     let variant = VanillaAttention { causal: true };
+    let dequant = dequant.as_ref().map(|(k, v)| (k.as_slice(), v.as_slice()));
 
-    'units: while let Ok(unit) = rx.recv() {
-        match &unit {
-            WorkUnit::Single(u) => {
-                let result = match &handle {
-                    StoreHandle::F32(store) => {
-                        execute(store, None, &mut pipeline, cfg, &variant, &params, u)
-                    }
-                    StoreHandle::F16(store) => {
-                        execute(store, None, &mut pipeline, cfg, &variant, &params, u)
-                    }
-                    StoreHandle::Fp8 {
-                        store,
-                        k_scales,
-                        v_scales,
-                    } => execute(
-                        store,
-                        Some((k_scales, v_scales)),
-                        &mut pipeline,
-                        cfg,
-                        &variant,
-                        &params,
-                        u,
-                    ),
-                };
-                let msg = match result {
-                    Ok(out) => WorkResult {
-                        req_id: u.req_id,
-                        token_index: u.token_index,
-                        out,
-                        err: None,
-                    },
-                    Err(e) => WorkResult {
-                        req_id: u.req_id,
-                        token_index: u.token_index,
-                        out: Vec::new(),
-                        err: Some(WorkerError::Exec(e)),
-                    },
-                };
-                if tx.send(msg).is_err() {
-                    break; // scheduler gone; shut down
-                }
-            }
-            WorkUnit::Group(g) => {
-                let result = match &handle {
-                    StoreHandle::F32(store) => {
-                        execute_group(store, None, &mut pipeline, cfg, &variant, &params, g)
-                    }
-                    StoreHandle::F16(store) => {
-                        execute_group(store, None, &mut pipeline, cfg, &variant, &params, g)
-                    }
-                    StoreHandle::Fp8 {
-                        store,
-                        k_scales,
-                        v_scales,
-                    } => execute_group(
-                        store,
-                        Some((k_scales, v_scales)),
-                        &mut pipeline,
-                        cfg,
-                        &variant,
-                        &params,
-                        g,
-                    ),
-                };
-                // One result per member, success or failure — the
-                // scheduler counts `result_count()` messages per unit.
-                match result {
-                    Ok(outs) => {
-                        for (m, out) in g.members.iter().zip(outs) {
-                            let msg = WorkResult {
-                                req_id: m.req_id,
-                                token_index: Some(m.token_index),
-                                out,
-                                err: None,
-                            };
-                            if tx.send(msg).is_err() {
-                                break 'units;
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        for m in &g.members {
-                            let msg = WorkResult {
-                                req_id: m.req_id,
-                                token_index: Some(m.token_index),
-                                out: Vec::new(),
-                                err: Some(WorkerError::Exec(e.clone())),
-                            };
-                            if tx.send(msg).is_err() {
-                                break 'units;
-                            }
-                        }
-                    }
-                }
-            }
+    while let Ok(unit) = rx.recv() {
+        let sent = match &unit {
+            WorkUnit::Single(u) => emit(
+                &tx,
+                u.ids(),
+                execute(&store, dequant, &mut pipeline, cfg, &variant, &params, u)
+                    .map(std::iter::once)
+                    .map_err(WorkerError::Exec),
+            ),
+            WorkUnit::Group(g) => emit(
+                &tx,
+                g.ids(),
+                execute_group(&store, dequant, &mut pipeline, cfg, &variant, &params, g)
+                    .map_err(WorkerError::Exec),
+            ),
+        };
+        if !sent {
+            break;
         }
     }
 
@@ -296,56 +259,38 @@ pub(crate) fn sharded_worker_loop(
 ) -> WorkerReport {
     let exec = ShardedExecutor::new(&pool, cfg.tile, cfg.num_ctas)
         .expect("sharded config validated at runtime start");
-    'units: while let Ok(unit) = rx.recv() {
-        let unit = match unit {
-            WorkUnit::Single(u) => u,
-            WorkUnit::Group(g) => {
-                // The scheduler rejects shared-prefix requests at submit
-                // time on the tensor-parallel backend, so groups cannot
-                // reach this loop; answer defensively rather than wedge
-                // the scheduler's result count.
-                for m in &g.members {
-                    let msg = WorkResult {
-                        req_id: m.req_id,
-                        token_index: Some(m.token_index),
-                        out: Vec::new(),
-                        err: Some(WorkerError::Exec(
-                            "cascade groups are unsupported on the tensor-parallel backend".into(),
-                        )),
-                    };
-                    if tx.send(msg).is_err() {
-                        break 'units;
-                    }
-                }
-                continue;
+    while let Ok(unit) = rx.recv() {
+        let sent = match unit {
+            WorkUnit::Single(u) => {
+                let batch = [BatchUnit {
+                    req_id: u.req_id,
+                    qo_len: u.qo_len,
+                    kv_len: u.kv_len,
+                    q: u.q.clone(),
+                }];
+                let tables = Arc::new(vec![u.pt.clone()]);
+                let result = exec
+                    .run_prebuilt(&batch, tables, ReduceMode::AllGather)
+                    .map_err(|e| match e {
+                        DistError::Kv(kv) => WorkerError::Kv(kv),
+                        other => WorkerError::Exec(other.to_string()),
+                    });
+                emit(&tx, u.ids(), result)
             }
+            // The scheduler rejects shared-prefix requests at submit time
+            // on the tensor-parallel backend, so groups cannot reach this
+            // loop; answer defensively rather than wedge the scheduler's
+            // result count.
+            WorkUnit::Group(g) => emit(
+                &tx,
+                g.ids(),
+                Err::<Vec<Vec<f32>>, _>(WorkerError::Exec(
+                    "cascade groups are unsupported on the tensor-parallel backend".into(),
+                )),
+            ),
         };
-        let batch = [BatchUnit {
-            req_id: unit.req_id,
-            qo_len: unit.qo_len,
-            kv_len: unit.kv_len,
-            q: unit.q.clone(),
-        }];
-        let tables = Arc::new(vec![unit.pt.clone()]);
-        let msg = match exec.run_prebuilt(&batch, tables, ReduceMode::AllGather) {
-            Ok(mut outs) => WorkResult {
-                req_id: unit.req_id,
-                token_index: unit.token_index,
-                out: outs.pop().expect("one unit in, one output out"),
-                err: None,
-            },
-            Err(e) => WorkResult {
-                req_id: unit.req_id,
-                token_index: unit.token_index,
-                out: Vec::new(),
-                err: Some(match e {
-                    DistError::Kv(kv) => WorkerError::Kv(kv),
-                    other => WorkerError::Exec(other.to_string()),
-                }),
-            },
-        };
-        if tx.send(msg).is_err() {
-            break; // scheduler gone; shut down
+        if !sent {
+            break;
         }
     }
     let comm = exec.comm_stats();

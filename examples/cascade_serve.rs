@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example cascade_serve`
 
-use flashinfer::runtime::{CascadeMode, KvPrecision, Runtime, RuntimeConfig, RuntimeRequest};
+use flashinfer::runtime::{CascadeMode, Runtime, RuntimeConfig, RuntimeOptions, RuntimeRequest};
 
 const SESSIONS: usize = 32;
 const PREFIX_SEED: u64 = 7;
@@ -18,7 +18,11 @@ fn serve(
     mode: CascadeMode,
 ) -> Result<(flashinfer::runtime::RuntimeMetrics, Outputs), Box<dyn std::error::Error>> {
     let cfg = RuntimeConfig::default();
-    let rt = Runtime::start_with_cascade(cfg, KvPrecision::default(), mode)?;
+    let opts = RuntimeOptions {
+        cascade: mode,
+        ..RuntimeOptions::default()
+    };
+    let rt = Runtime::start_with(cfg, opts)?;
     let handles: Vec<_> = (0..SESSIONS)
         .map(|i| {
             // 64 shared tokens + an 8-token per-user tail, 12 decode steps.

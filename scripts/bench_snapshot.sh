@@ -14,13 +14,6 @@
 # the same shapes with std::time::Instant and writes the same schema —
 # for environments where the crates.io mirror cannot resolve criterion.
 #
-# With --runtime, snapshots KV-pool contention scaling instead: the
-# registry-free runtime_contention binary measures serving tokens/s at
-# worker counts {1,2,4,8,16} on the lock-free split-pool path, plus the
-# legacy global-read-lock worker body measured honestly in the same run,
-# into BENCH_runtime.json. Needs no criterion, so it runs the same with
-# or without --offline.
-#
 # With --cascade, snapshots shared-prefix decode scaling instead: the
 # registry-free cascade_timing binary serves {8,64,256} sessions over one
 # shared system prompt with cascade grouping on (CascadeMode::Auto) vs
@@ -41,23 +34,21 @@
 # merged replica rollup, and the disaggregated row's migrated bytes and
 # simulated link time, into BENCH_cluster.json. Also criterion-free.
 #
-# Usage: scripts/bench_snapshot.sh [--offline] [--runtime] [--cascade]
-#        [--router] [--cluster] [output.json]
-#        (default output: BENCH_kernel.json, BENCH_runtime.json with
-#        --runtime, BENCH_cascade.json with --cascade, BENCH_router.json
-#        with --router, or BENCH_cluster.json with --cluster)
+# Usage: scripts/bench_snapshot.sh [--offline] [--cascade] [--router]
+#        [--cluster] [output.json]
+#        (default output: BENCH_kernel.json, BENCH_cascade.json with
+#        --cascade, BENCH_router.json with --router, or BENCH_cluster.json
+#        with --cluster)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OFFLINE=0
-RUNTIME=0
 CASCADE=0
 ROUTER=0
 CLUSTER=0
 while [[ "${1:-}" == --* ]]; do
   case "$1" in
     --offline) OFFLINE=1 ;;
-    --runtime) RUNTIME=1 ;;
     --cascade) CASCADE=1 ;;
     --router) ROUTER=1 ;;
     --cluster) CLUSTER=1 ;;
@@ -86,14 +77,6 @@ if [[ "$CASCADE" == 1 ]]; then
   OUT="${1:-BENCH_cascade.json}"
   echo "==> auto-cascade sweep (sessions 8/64/256, cascade vs flat decode)"
   cargo run --release -q -p fi-bench --bin cascade_timing > "$OUT"
-  echo "wrote ${OUT}"
-  exit 0
-fi
-
-if [[ "$RUNTIME" == 1 ]]; then
-  OUT="${1:-BENCH_runtime.json}"
-  echo "==> runtime contention sweep (workers 1/2/4/8/16, lock-free vs locked)"
-  cargo run --release -q -p fi-bench --bin runtime_contention > "$OUT"
   echo "wrote ${OUT}"
   exit 0
 fi

@@ -43,7 +43,6 @@ rand = { path = "stubs/rand" }
 rand_distr = { path = "stubs/rand_distr" }
 proptest = { path = "stubs/proptest" }
 criterion = { path = "stubs/criterion" }
-bytes = { path = "stubs/bytes" }
 EOF
 
 export CARGO_NET_OFFLINE=true

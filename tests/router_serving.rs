@@ -7,6 +7,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use flashinfer::cluster::ClusterConfig;
 use flashinfer::router::{
     RequestLimits, Router, RouterConfig, RouterState, SubmitError, TenantConfig, TokenStream,
 };
@@ -160,6 +161,40 @@ fn bursty_arrivals_with_rate_limits_reconcile_exactly() {
         carol.rate_delayed_ticks > 0,
         "a 200 tok/s bucket under a burst must delay"
     );
+}
+
+#[test]
+fn routing_over_a_disaggregated_cluster_streams_the_resumed_leg_bit_identically() {
+    // Every plain request prefills on one replica, migrates, and streams
+    // its tokens from the decode replica's resumed leg — the stream is
+    // attached there, not to the prefill leg.
+    let n = 36;
+    let reqs = request_mix(n, 2718);
+    let mut rng = StdRng::seed_from_u64(5);
+    let arrivals = poisson_arrivals(&mut rng, n, 400.0);
+    let rcfg = runtime_cfg();
+    let router = Router::start_cluster(
+        router_cfg(),
+        ClusterConfig::disaggregated_pair(rcfg.clone()),
+    )
+    .unwrap();
+    let routed = routed_outputs(&router, &reqs, &arrivals, 1.0);
+    let report = router.shutdown();
+    let direct = direct_outputs(&rcfg, &reqs);
+    assert_eq!(routed, direct, "migrated streams must stay bit-identical");
+    assert!(report.reconciles(), "router over cluster reconciles");
+    assert_eq!(report.submitted, n as u64);
+    assert_eq!(report.gate_rejected, 0);
+    let c = report
+        .cluster
+        .as_ref()
+        .expect("cluster mode sets the field");
+    assert_eq!(c.completed, n as u64);
+    assert_eq!(c.migrations, n as u64, "every plain request migrates");
+    assert!(c.migrations > 0 && c.migrated_bytes > 0);
+    assert!(c.kv_pools_drained(), "both replicas drain");
+    assert_eq!(report.runtime.kv_exports, n as u64);
+    assert_eq!(report.runtime.kv_imports, n as u64);
 }
 
 #[test]

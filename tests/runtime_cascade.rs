@@ -14,8 +14,8 @@ use flashinfer::core::tiles::TileConfig;
 use flashinfer::core::variant::{VanillaAttention, VariantParams};
 use flashinfer::kvcache::paged::{PagedKvCache, PagedKvConfig};
 use flashinfer::runtime::{
-    effective_prefix_len, kv_row, q_row, CascadeMode, KvPrecision, RequestOutcome, Runtime,
-    RuntimeConfig, RuntimeRequest,
+    effective_prefix_len, kv_row, q_row, CascadeMode, RequestOutcome, Runtime, RuntimeConfig,
+    RuntimeOptions, RuntimeRequest,
 };
 use flashinfer::sched::pipeline::AttentionPipeline;
 use flashinfer::sched::plan::CostModel;
@@ -434,8 +434,11 @@ fn cascade_off_matches_the_same_oracle() {
         num_pages: 512,
     };
     let requests = sessions(12, 0x9000);
-    let rt =
-        Runtime::start_with_cascade(cfg.clone(), KvPrecision::default(), CascadeMode::Off).unwrap();
+    let opts = RuntimeOptions {
+        cascade: CascadeMode::Off,
+        ..RuntimeOptions::default()
+    };
+    let rt = Runtime::start_with(cfg.clone(), opts).unwrap();
     let handles: Vec<_> = requests.iter().map(|r| (*r, rt.submit(*r))).collect();
     for (req, h) in handles {
         let c = h.wait().completed().expect("completes");

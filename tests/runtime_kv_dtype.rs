@@ -19,7 +19,9 @@ use flashinfer::core::kernel::{AttentionProblem, FlashKernel};
 use flashinfer::core::tiles::TileConfig;
 use flashinfer::core::variant::{VanillaAttention, VariantParams};
 use flashinfer::kvcache::paged::{PagedKvCache, PagedKvConfig};
-use flashinfer::runtime::{kv_row, q_row, KvPrecision, Runtime, RuntimeConfig, RuntimeRequest};
+use flashinfer::runtime::{
+    kv_row, q_row, KvPrecision, Runtime, RuntimeConfig, RuntimeOptions, RuntimeRequest,
+};
 use flashinfer::sched::pipeline::AttentionPipeline;
 use flashinfer::sched::plan::CostModel;
 use flashinfer::sched::wrapper::SchedulePolicy;
@@ -132,7 +134,11 @@ fn run_mix(
     precision: KvPrecision,
     reqs: &[RuntimeRequest],
 ) -> Vec<Vec<Vec<f32>>> {
-    let rt = Runtime::start_with(cfg.clone(), precision).unwrap();
+    let opts = RuntimeOptions {
+        precision,
+        ..RuntimeOptions::default()
+    };
+    let rt = Runtime::start_with(cfg.clone(), opts).unwrap();
     let handles: Vec<_> = reqs.iter().map(|r| rt.submit(*r)).collect();
     let outs = handles
         .into_iter()
@@ -240,7 +246,11 @@ fn swap_preemption_round_trips_at_reduced_precision() {
             0.02,
         ),
     ] {
-        let rt = Runtime::start_with(cfg.clone(), p).unwrap();
+        let opts = RuntimeOptions {
+            precision: p,
+            ..RuntimeOptions::default()
+        };
+        let rt = Runtime::start_with(cfg.clone(), opts).unwrap();
         let handles: Vec<_> = reqs.iter().map(|r| (*r, rt.submit(*r))).collect();
         for (req, h) in handles {
             let c = h.wait().completed().expect("completes despite preemption");
