@@ -9,6 +9,7 @@ use fi_bench::{plan_layout, Experiment};
 use fi_core::config::HeadConfig;
 use fi_core::gqa::kv_load_bytes;
 use fi_core::kernel::{AttentionProblem, FlashKernel};
+use fi_core::scratch::KernelScratch;
 use fi_core::tiles::{select_tile, TileConfig};
 use fi_core::variant::{VanillaAttention, VariantParams};
 use fi_gpusim::exec::{execute_plan, ExecContext};
@@ -89,17 +90,18 @@ fn main() {
     let problem = AttentionProblem::standard_batch(&q, &k, &v, &layout, heads, &[l_kv]).unwrap();
     let params = VariantParams::for_head_dim(16);
     let variant = VanillaAttention { causal: true };
+    let mut scratch = KernelScratch::new();
     let f = FlashKernel {
         tile: TileConfig { tq: 1, tkv: 16 },
         head_fusion: true,
     }
-    .run(&problem, &variant, &params)
+    .run_with_scratch(&problem, &variant, &params, &mut scratch)
     .unwrap();
     let u = FlashKernel {
         tile: TileConfig { tq: 1, tkv: 16 },
         head_fusion: false,
     }
-    .run(&problem, &variant, &params)
+    .run_with_scratch(&problem, &variant, &params, &mut scratch)
     .unwrap();
     println!(
         "\nKernel gather bytes: fused {} vs unfused {} (ratio {} = group size {})",

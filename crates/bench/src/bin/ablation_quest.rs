@@ -9,6 +9,7 @@ use fi_bench::{plan_layout, Experiment};
 use fi_core::config::HeadConfig;
 use fi_core::kernel::{AttentionProblem, FlashKernel};
 use fi_core::quest::{quest_layout, PageSummaries};
+use fi_core::scratch::KernelScratch;
 use fi_core::tiles::{select_tile, TileConfig};
 use fi_core::variant::{VanillaAttention, VariantParams};
 use fi_gpusim::exec::{execute_plan, ExecContext};
@@ -68,11 +69,14 @@ fn main() {
         tile: TileConfig { tq: 1, tkv: 32 },
         head_fusion: true,
     };
+    let mut scratch = KernelScratch::new();
 
     let full_layout = pt.to_bsr(&[1], 1).unwrap();
     let full_problem =
         AttentionProblem::standard_batch(&q, &k, &v, &full_layout, heads, &[kv_len]).unwrap();
-    let full = kern.run(&full_problem, &variant, &params).unwrap();
+    let full = kern
+        .run_with_scratch(&full_problem, &variant, &params, &mut scratch)
+        .unwrap();
 
     let mut recall = Experiment::new(
         "ablation_quest_recall",
@@ -84,7 +88,9 @@ fn main() {
         let sparse_kv = layout.block_row_kv_len(0);
         let problem =
             AttentionProblem::standard_batch(&q, &k, &v, &layout, heads, &[sparse_kv]).unwrap();
-        let out = kern.run(&problem, &variant, &params).unwrap();
+        let out = kern
+            .run_with_scratch(&problem, &variant, &params, &mut scratch)
+            .unwrap();
         let a = out.o.seq(0);
         let b = full.o.seq(0);
         let dot: f32 = a.iter().zip(b).map(|(&x, &y)| x * y).sum();

@@ -14,8 +14,8 @@
 //! | `ablation_gqa_fusion` | Appendix A — head-group fusion traffic/latency |
 //!
 //! Each binary prints a table and writes `target/experiments/<id>.json`.
-//! `benches/microbench.rs` (criterion) measures the real data-structure
-//! and kernel hot paths.
+//! These bins reproduce the paper on the simulator; wall-clock numbers of
+//! the real stack come from `benchmark/` (see its README).
 
 use std::fs;
 use std::path::PathBuf;

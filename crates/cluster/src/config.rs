@@ -1,8 +1,6 @@
 //! Cluster topology: how many replicas, what role each plays, and how
 //! the inter-replica migration link is priced.
 
-use std::time::Duration;
-
 use fi_runtime::{KvPrecision, RuntimeConfig};
 
 /// What part of the request lifecycle a replica serves.
@@ -70,8 +68,6 @@ pub struct ClusterConfig {
     /// Migration time is priced by the same `CommCost` ring model the
     /// tensor-parallel workers use.
     pub link_bandwidth: f64,
-    /// Engine poll interval while work is in flight.
-    pub tick: Duration,
 }
 
 impl ClusterConfig {
@@ -101,7 +97,6 @@ impl ClusterConfig {
             replicas: Vec::new(),
             max_in_flight: 8,
             link_bandwidth: 32e9,
-            tick: Duration::from_micros(200),
         }
     }
 

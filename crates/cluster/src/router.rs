@@ -29,6 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use fi_dist::{CollectiveOp, CommCost, GpuSimCommCost};
 use fi_runtime::{
@@ -56,6 +57,9 @@ impl std::fmt::Display for ClusterError {
 }
 
 impl std::error::Error for ClusterError {}
+
+/// Engine poll interval while work is in flight.
+const TICK: Duration = Duration::from_micros(200);
 
 /// Point-in-time load view of one replica (the balancing signal, plus
 /// drain state), for observability and drain/failover tests.
@@ -344,14 +348,14 @@ impl Engine {
     fn drain_commands(&mut self) {
         if self.disconnected {
             // The gate is closed; just pace the polling loop.
-            std::thread::sleep(self.cfg.tick);
+            std::thread::sleep(TICK);
             return;
         }
         // Block when idle (no work to poll); otherwise poll at the tick.
         let first = if self.idle() {
             self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
         } else {
-            self.rx.recv_timeout(self.cfg.tick)
+            self.rx.recv_timeout(TICK)
         };
         match first {
             Ok(cmd) => self.handle(cmd),
@@ -399,28 +403,17 @@ impl Engine {
     /// Resolve queued submissions whose clients cancelled before
     /// placement — they never reach a replica.
     fn sweep_queued_cancels(&mut self) {
-        let mut kept = VecDeque::with_capacity(self.pending.len());
-        for sub in self.pending.drain(..) {
-            if sub.client.cancelled() {
-                sub.client
-                    .deliver(RequestOutcome::Cancelled(CancelReason::User));
-                self.metrics.cancelled += 1;
-            } else {
-                kept.push_back(sub);
+        let count = &mut self.metrics.cancelled;
+        let mut keep = |client: &ClientEnd| {
+            let cancelled = client.cancelled();
+            if cancelled {
+                client.deliver(RequestOutcome::Cancelled(CancelReason::User));
+                *count += 1;
             }
-        }
-        self.pending = kept;
-        let mut kept = VecDeque::with_capacity(self.migrating.len());
-        for m in self.migrating.drain(..) {
-            if m.client.cancelled() {
-                m.client
-                    .deliver(RequestOutcome::Cancelled(CancelReason::User));
-                self.metrics.cancelled += 1;
-            } else {
-                kept.push_back(m);
-            }
-        }
-        self.migrating = kept;
+            !cancelled
+        };
+        self.pending.retain(|sub| keep(&sub.client));
+        self.migrating.retain(|m| keep(&m.client));
     }
 
     fn count_outcome(&mut self, outcome: &RequestOutcome) {

@@ -128,6 +128,7 @@ mod tests {
     use crate::config::HeadConfig;
     use crate::kernel::{AttentionProblem, FlashKernel};
     use crate::reference::reference_attention;
+    use crate::scratch::KernelScratch;
     use crate::tiles::TileConfig;
     use crate::variant::VanillaAttention;
     use fi_sparse::bsr::{BlockEntry, BlockSparseMatrix};
@@ -171,7 +172,9 @@ mod tests {
             tile: TileConfig { tq: 3, tkv: 4 },
             head_fusion: true,
         };
-        let out = kern.run(&problem, &v, &params).unwrap();
+        let out = kern
+            .run_with_scratch(&problem, &v, &params, &mut KernelScratch::new())
+            .unwrap();
         let r = reference_attention(
             &v,
             &params,
@@ -245,7 +248,9 @@ mod tests {
             tile: TileConfig { tq: 2, tkv: 4 },
             head_fusion: true,
         };
-        let out = kern.run(&problem, &v, &params).unwrap();
+        let out = kern
+            .run_with_scratch(&problem, &v, &params, &mut KernelScratch::new())
+            .unwrap();
         let r = reference_attention(
             &v,
             &params,

@@ -24,9 +24,7 @@
 //!   each hook (the analog of hand-written CUDA bodies in the spec string).
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::error::AttentionError;
 use crate::rope::RotaryEmbedding;
@@ -404,6 +402,12 @@ impl KernelCache {
         KernelCache::default()
     }
 
+    /// Poison is ignored: no panic can leave the map half-updated (at worst
+    /// a counter lags one insert), so the cache stays usable after one.
+    fn lock(&self) -> MutexGuard<'_, KernelCacheInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Fetch the compiled variant for `key`, compiling `spec` on a miss.
     ///
     /// # Errors
@@ -414,7 +418,7 @@ impl KernelCache {
         key: KernelKey,
         spec: &VariantSpec,
     ) -> Result<Arc<JitVariant>, AttentionError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if let Some(v) = inner.compiled.get(&key).map(Arc::clone) {
             inner.hits += 1;
             return Ok(v);
@@ -427,13 +431,13 @@ impl KernelCache {
 
     /// `(hits, misses)` counters.
     pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         (inner.hits, inner.misses)
     }
 
     /// Number of cached kernels.
     pub fn len(&self) -> usize {
-        self.inner.lock().compiled.len()
+        self.lock().compiled.len()
     }
 
     /// True if nothing is cached.

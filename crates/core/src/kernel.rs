@@ -11,10 +11,11 @@
 //! * the **tile configuration** fixes the chunking of the KV axis
 //!   (§3.2.2) — numerics are tile-size independent (online softmax), only
 //!   the cost accounting changes;
-//! * execution either produces final outputs ([`FlashKernel::run`]) or
-//!   mergeable partial [`AttentionState`]s for one KV chunk of one tile
-//!   ([`FlashKernel::run_block_row_chunk`]) — the scheduler's split-KV
-//!   unit of work (§3.3.1).
+//! * execution either produces final outputs
+//!   ([`FlashKernel::run_with_scratch`]) or mergeable partial
+//!   [`crate::state::AttentionState`]s for one KV chunk of one tile
+//!   ([`FlashKernel::run_block_row_chunk_scratch`]) — the scheduler's
+//!   split-KV unit of work (§3.3.1).
 //!
 //! The inner loop is the FlashAttention-2 online-softmax update: running
 //! max `m`, running denominator `l`, and unnormalized accumulator, all in
@@ -26,8 +27,7 @@
 //! [`FlashKernel::run_with_scratch`]), each KV chunk is staged once at full
 //! kv width and shared by every query head of every group, and the inner
 //! loops run on the blocked microkernels in `fi_tensor::numerics`
-//! (`dot`/`axpy`/`scale_add`). The scratch-free entry points remain as
-//! thin per-thread-scratch wrappers.
+//! (`dot`/`axpy`/`scale_add`).
 
 use fi_sparse::BlockSparseMatrix;
 use fi_tensor::{RaggedTensor, Scalar, Tensor};
@@ -36,17 +36,8 @@ use crate::config::HeadConfig;
 use crate::error::AttentionError;
 use crate::gather::{DequantScales, GatherStats, Stager};
 use crate::scratch::KernelScratch;
-use crate::state::AttentionState;
 use crate::tiles::TileConfig;
 use crate::variant::{AttentionVariant, KeyCtx, LogitCtx, QueryCtx, VariantParams};
-
-std::thread_local! {
-    /// Per-thread scratch backing the allocation-unaware compatibility API
-    /// ([`FlashKernel::run`] / [`FlashKernel::run_block_row_chunk`]); the
-    /// schedulers thread their own [`KernelScratch`] instead.
-    static COMPAT_SCRATCH: std::cell::RefCell<KernelScratch> =
-        std::cell::RefCell::new(KernelScratch::new());
-}
 
 /// Per-query-row metadata the variant contexts need: which request the row
 /// belongs to and the request's logical lengths.
@@ -371,8 +362,7 @@ pub struct KernelOutput {
 /// [`KernelScratch`] that executed the chunk (see
 /// [`KernelScratch::out_o`] / [`KernelScratch::out_lse`]), valid until its
 /// next use. This keeps the hot path allocation-free; callers that need
-/// owned states use [`KernelScratch::states`] or the compatibility wrapper
-/// [`FlashKernel::run_block_row_chunk`].
+/// owned states use [`KernelScratch::states`].
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkMeta {
     /// First query row of the tile.
@@ -382,19 +372,6 @@ pub struct ChunkMeta {
     /// Number of states produced: `(row_end - row_start) * num_qo_heads`,
     /// laid out `[rows_in_tile, H_qo]` row-major in the scratch.
     pub n_states: usize,
-    /// Execution statistics for this chunk.
-    pub stats: KernelStats,
-}
-
-/// Partial states for one (block row × KV chunk) work item.
-#[derive(Debug, Clone)]
-pub struct ChunkOutput {
-    /// States laid out `[rows_in_tile, H_qo]` row-major, each of dim `D`.
-    pub states: Vec<AttentionState>,
-    /// First query row of the tile.
-    pub row_start: usize,
-    /// One past the last query row.
-    pub row_end: usize,
     /// Execution statistics for this chunk.
     pub stats: KernelStats,
 }
@@ -424,7 +401,8 @@ impl FlashKernel {
         }
     }
 
-    /// Run the whole problem to final outputs.
+    /// Run the whole problem to final outputs. Only the output tensors are
+    /// allocated; all intermediate chunk state reuses `scratch`.
     ///
     /// Rows not covered by any block row produce zero output and `-inf`
     /// LSE (they have an empty visible set).
@@ -433,22 +411,6 @@ impl FlashKernel {
     ///
     /// Propagates chunk-execution errors (none in practice once the
     /// problem validated; kept for API stability).
-    pub fn run<TQ: Scalar, TKV: Scalar>(
-        &self,
-        problem: &AttentionProblem<'_, TQ, TKV>,
-        variant: &dyn AttentionVariant,
-        params: &VariantParams,
-    ) -> Result<KernelOutput, AttentionError> {
-        COMPAT_SCRATCH
-            .with(|cell| self.run_with_scratch(problem, variant, params, &mut cell.borrow_mut()))
-    }
-
-    /// [`FlashKernel::run`] with an explicit scratch arena: only the output
-    /// tensors are allocated; all intermediate chunk state reuses `scratch`.
-    ///
-    /// # Errors
-    ///
-    /// As [`FlashKernel::run`].
     pub fn run_with_scratch<TQ: Scalar, TKV: Scalar>(
         &self,
         problem: &AttentionProblem<'_, TQ, TKV>,
@@ -504,46 +466,12 @@ impl FlashKernel {
         Ok(KernelOutput { o, lse, stats })
     }
 
-    /// Execute one split-KV work item: block row `block_row`, KV blocks
-    /// `kv_blocks` (indices into the block row's nonzero list). Returns
-    /// *unfinalized* attention states — `output_transform` is NOT applied;
-    /// the contraction step applies it after merging all chunks.
-    ///
-    /// Compatibility wrapper over
-    /// [`FlashKernel::run_block_row_chunk_scratch`] using a per-thread
-    /// scratch; it materializes owned [`AttentionState`]s (one `Vec` per
-    /// state). Allocation-free callers hold their own [`KernelScratch`] and
-    /// call the scratch variant directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttentionError::InvalidChunk`] if indices are out of range.
-    pub fn run_block_row_chunk<TQ: Scalar, TKV: Scalar>(
-        &self,
-        problem: &AttentionProblem<'_, TQ, TKV>,
-        variant: &dyn AttentionVariant,
-        params: &VariantParams,
-        block_row: usize,
-        kv_blocks: std::ops::Range<usize>,
-    ) -> Result<ChunkOutput, AttentionError> {
-        COMPAT_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let meta = self.run_block_row_chunk_scratch(
-                problem, variant, params, block_row, kv_blocks, scratch,
-            )?;
-            Ok(ChunkOutput {
-                states: scratch.states(problem.heads.head_dim),
-                row_start: meta.row_start,
-                row_end: meta.row_end,
-                stats: meta.stats,
-            })
-        })
-    }
-
-    /// The allocation-free hot path: execute one split-KV work item entirely
-    /// inside `scratch`, leaving the finalized (but NOT output-transformed)
-    /// per-state results in [`KernelScratch::out_o`] /
-    /// [`KernelScratch::out_lse`].
+    /// The allocation-free hot path: execute one split-KV work item — block
+    /// row `block_row`, KV blocks `kv_blocks` (indices into the block row's
+    /// nonzero list) — entirely inside `scratch`, leaving the finalized but
+    /// NOT output-transformed per-state results in
+    /// [`KernelScratch::out_o`] / [`KernelScratch::out_lse`]; the
+    /// contraction step applies `output_transform` after merging all chunks.
     ///
     /// Each KV chunk is staged ONCE at full kv width (`num_kv_heads * D`)
     /// and its key/value transforms applied once, then consumed by all
@@ -869,7 +797,9 @@ mod tests {
             tile,
             head_fusion: true,
         };
-        let out = kern.run(&problem, variant, params).unwrap();
+        let out = kern
+            .run_with_scratch(&problem, variant, params, &mut KernelScratch::new())
+            .unwrap();
         let r = reference_attention(
             variant,
             params,
@@ -974,16 +904,19 @@ mod tests {
             head_fusion: true,
         };
 
-        let full = kern.run(&problem, &variant, &params).unwrap();
+        let full = kern
+            .run_with_scratch(&problem, &variant, &params, &mut KernelScratch::new())
+            .unwrap();
         // Split: blocks 0..2 and 2..4, merged with the ⊕ operator.
-        let a = kern
-            .run_block_row_chunk(&problem, &variant, &params, 0, 0..2)
-            .unwrap();
-        let b = kern
-            .run_block_row_chunk(&problem, &variant, &params, 0, 2..4)
-            .unwrap();
+        let mut scratch = KernelScratch::new();
+        let mut chunk = |blocks| {
+            kern.run_block_row_chunk_scratch(&problem, &variant, &params, 0, blocks, &mut scratch)
+                .unwrap();
+            scratch.states(heads.head_dim)
+        };
+        let (a, b) = (chunk(0..2), chunk(2..4));
         for h in 0..heads.num_qo_heads {
-            let merged = a.states[h].merge(&b.states[h]);
+            let merged = a[h].merge(&b[h]);
             let d = heads.head_dim;
             assert!(allclose(
                 &merged.o,
@@ -1045,8 +978,12 @@ mod tests {
             tile: TileConfig { tq: 2, tkv: 2 },
             head_fusion: true,
         };
-        let out_c = kern.run(&p_c, &variant, &params).unwrap();
-        let out_p = kern.run(&p_p, &variant, &params).unwrap();
+        let out_c = kern
+            .run_with_scratch(&p_c, &variant, &params, &mut KernelScratch::new())
+            .unwrap();
+        let out_p = kern
+            .run_with_scratch(&p_p, &variant, &params, &mut KernelScratch::new())
+            .unwrap();
         assert!(allclose(out_p.o.seq(0), out_c.o.seq(0), 1e-6, 1e-7));
     }
 
@@ -1064,7 +1001,12 @@ mod tests {
             head_fusion: true,
         };
         let out = kern
-            .run(&problem, &VanillaAttention { causal: false }, &params)
+            .run_with_scratch(
+                &problem,
+                &VanillaAttention { causal: false },
+                &params,
+                &mut KernelScratch::new(),
+            )
             .unwrap();
         assert_eq!(out.o.seq(0), &[0.0, 0.0]);
         assert_eq!(out.lse[0], f32::NEG_INFINITY);
@@ -1095,7 +1037,9 @@ mod tests {
             tile: TileConfig { tq: 2, tkv: 4 },
             head_fusion: true,
         };
-        let out = kern.run(&problem, &variant, &params).unwrap();
+        let out = kern
+            .run_with_scratch(&problem, &variant, &params, &mut KernelScratch::new())
+            .unwrap();
         // Reference per request over its contiguous span.
         for b in 0..2 {
             let (s, e) = (kv_indptr[b], kv_indptr[b + 1]);
@@ -1169,11 +1113,12 @@ mod tests {
             head_fusion: true,
         };
         let v1 = VanillaAttention { causal: false };
+        let mut scratch = KernelScratch::new();
         assert!(kern
-            .run_block_row_chunk(&problem, &v1, &params, 1, 0..1)
+            .run_block_row_chunk_scratch(&problem, &v1, &params, 1, 0..1, &mut scratch)
             .is_err());
         assert!(kern
-            .run_block_row_chunk(&problem, &v1, &params, 0, 0..2)
+            .run_block_row_chunk_scratch(&problem, &v1, &params, 0, 0..2, &mut scratch)
             .is_err());
     }
 
@@ -1191,13 +1136,13 @@ mod tests {
             tile: TileConfig { tq: 1, tkv: 8 },
             head_fusion: true,
         }
-        .run(&problem, &variant, &params)
+        .run_with_scratch(&problem, &variant, &params, &mut KernelScratch::new())
         .unwrap();
         let unfused = FlashKernel {
             tile: TileConfig { tq: 1, tkv: 8 },
             head_fusion: false,
         }
-        .run(&problem, &variant, &params)
+        .run_with_scratch(&problem, &variant, &params, &mut KernelScratch::new())
         .unwrap();
         assert_eq!(
             unfused.stats.gather.global_bytes,
@@ -1248,35 +1193,6 @@ mod tests {
     }
 
     #[test]
-    fn compat_chunk_wrapper_matches_scratch_path() {
-        let heads = HeadConfig::new(2, 1, 4).unwrap();
-        let params = VariantParams::for_head_dim(4);
-        let variant = VanillaAttention { causal: false };
-        let q = filled_ragged(&[2], heads.qo_width(), |i| (i as f32 * 0.19).sin());
-        let k = Tensor::<f32>::from_fn(vec![8, 4], |i| (i as f32 * 0.23).cos());
-        let v = Tensor::<f32>::from_fn(vec![8, 4], |i| (i as f32 * 0.29).sin());
-        let layout = dense_layout(2, 8, 2);
-        let problem = AttentionProblem::standard_batch(&q, &k, &v, &layout, heads, &[8]).unwrap();
-        let kern = FlashKernel {
-            tile: TileConfig { tq: 2, tkv: 4 },
-            head_fusion: true,
-        };
-        let compat = kern
-            .run_block_row_chunk(&problem, &variant, &params, 0, 0..1)
-            .unwrap();
-        let mut scratch = KernelScratch::new();
-        let meta = kern
-            .run_block_row_chunk_scratch(&problem, &variant, &params, 0, 0..1, &mut scratch)
-            .unwrap();
-        assert_eq!(meta.n_states, compat.states.len());
-        assert_eq!(
-            (meta.row_start, meta.row_end),
-            (compat.row_start, compat.row_end)
-        );
-        assert_eq!(scratch.states(heads.head_dim), compat.states);
-    }
-
-    #[test]
     fn fp16_kv_storage_close_to_f32() {
         use fi_tensor::F16;
         let heads = HeadConfig::new(1, 1, 8).unwrap();
@@ -1294,8 +1210,12 @@ mod tests {
             tile: TileConfig { tq: 3, tkv: 4 },
             head_fusion: true,
         };
-        let o32 = kern.run(&p32, &variant, &params).unwrap();
-        let o16 = kern.run(&p16, &variant, &params).unwrap();
+        let o32 = kern
+            .run_with_scratch(&p32, &variant, &params, &mut KernelScratch::new())
+            .unwrap();
+        let o16 = kern
+            .run_with_scratch(&p16, &variant, &params, &mut KernelScratch::new())
+            .unwrap();
         assert!(allclose(o16.o.seq(0), o32.o.seq(0), 2e-2, 2e-3));
         // And f16 traffic is half.
         assert_eq!(

@@ -169,6 +169,7 @@ mod tests {
     use super::*;
     use crate::config::HeadConfig;
     use crate::kernel::{AttentionProblem, FlashKernel};
+    use crate::scratch::KernelScratch;
     use crate::tiles::TileConfig;
     use crate::variant::VanillaAttention;
     use fi_sparse::bsr::{BlockEntry, BlockSparseMatrix};
@@ -261,14 +262,18 @@ mod tests {
 
         // Full-precision baseline. Scale sm so softmax is non-degenerate.
         let p32 = AttentionProblem::standard_batch(&q, &k, &v, &layout, heads, &[l_kv]).unwrap();
-        let full = kern.run(&p32, &inner, &params).unwrap();
+        let full = kern
+            .run_with_scratch(&p32, &inner, &params, &mut KernelScratch::new())
+            .unwrap();
 
         // fp8 path.
         let quant = quantize_kv(&k, &v, heads.num_kv_heads, heads.head_dim).unwrap();
         let variant = DequantScale::new(inner, &quant);
         let p8 = AttentionProblem::standard_batch(&q, &quant.k, &quant.v, &layout, heads, &[l_kv])
             .unwrap();
-        let out = kern.run(&p8, &variant, &params).unwrap();
+        let out = kern
+            .run_with_scratch(&p8, &variant, &params, &mut KernelScratch::new())
+            .unwrap();
         assert!(
             allclose(out.o.seq(0), full.o.seq(0), 0.15, 0.02),
             "fp8 {:?} vs f32 {:?}",
@@ -327,14 +332,18 @@ mod tests {
         let p_wrap =
             AttentionProblem::standard_batch(&q, &quant.k, &quant.v, &layout, heads, &[l_kv])
                 .unwrap();
-        let out_wrap = kern.run(&p_wrap, &wrapper, &params).unwrap();
+        let out_wrap = kern
+            .run_with_scratch(&p_wrap, &wrapper, &params, &mut KernelScratch::new())
+            .unwrap();
 
         let p_stage =
             AttentionProblem::standard_batch(&q, &quant.k, &quant.v, &layout, heads, &[l_kv])
                 .unwrap()
                 .with_kv_dequant(quant.k_scales.clone(), quant.v_scales.clone())
                 .unwrap();
-        let out_stage = kern.run(&p_stage, &inner, &params).unwrap();
+        let out_stage = kern
+            .run_with_scratch(&p_stage, &inner, &params, &mut KernelScratch::new())
+            .unwrap();
 
         assert_eq!(out_wrap.o.seq(0), out_stage.o.seq(0), "outputs");
         assert_eq!(out_wrap.lse, out_stage.lse, "lse");

@@ -13,7 +13,8 @@
 //! counting-allocator proof.
 //!
 //! One scratch must only be used by one thread at a time (it is plain `Send`
-//! owned data); `fi-sched::parallel` gives each worker its own.
+//! owned data); every `fi-sched` pipeline, hence every runtime worker,
+//! owns one.
 
 use crate::state::AttentionState;
 
@@ -71,10 +72,9 @@ impl KernelScratch {
         self.out_lse.len()
     }
 
-    /// Materialize the last chunk's states as owned [`AttentionState`]s.
-    ///
-    /// This is the compatibility path (it allocates one `Vec` per state);
-    /// allocation-free consumers read [`KernelScratch::out_o`] /
+    /// Materialize the last chunk's states as owned [`AttentionState`]s
+    /// (one `Vec` per state) — for callers that merge chunks with ⊕ by
+    /// hand; allocation-free consumers read [`KernelScratch::out_o`] /
     /// [`KernelScratch::out_lse`] directly.
     pub fn states(&self, d: usize) -> Vec<AttentionState> {
         self.out_lse

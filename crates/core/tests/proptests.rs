@@ -96,7 +96,7 @@ proptest! {
         let layout = dense_layout(l_qo, l_kv, tq, bc);
         let problem = AttentionProblem::standard_batch(&q, &k, &v, &layout, heads, &[l_kv]).unwrap();
         let kern = FlashKernel { tile: TileConfig { tq, tkv }, head_fusion: true };
-        let out = kern.run(&problem, variant.as_ref(), &params).unwrap();
+        let out = kern.run_with_scratch(&problem, variant.as_ref(), &params, &mut KernelScratch::new()).unwrap();
         let r = reference_attention(variant.as_ref(), &params, heads, 0, q.seq(0), k.as_slice(), v.as_slice());
         prop_assert!(
             allclose(out.o.seq(0), &r.o, 3e-4, 3e-5),
@@ -133,11 +133,15 @@ proptest! {
         let problem = AttentionProblem::standard_batch(&q, &k, &v, &layout, heads, &[l_kv]).unwrap();
         let kern = FlashKernel { tile: TileConfig { tq: 1, tkv: 3 }, head_fusion: true };
 
-        let full = kern.run(&problem, &variant, &params).unwrap();
-        let a = kern.run_block_row_chunk(&problem, &variant, &params, 0, 0..split).unwrap();
-        let b = kern.run_block_row_chunk(&problem, &variant, &params, 0, split..n_blocks).unwrap();
+        let mut scratch = KernelScratch::new();
+        let full = kern.run_with_scratch(&problem, &variant, &params, &mut scratch).unwrap();
+        let mut chunk = |blocks| {
+            kern.run_block_row_chunk_scratch(&problem, &variant, &params, 0, blocks, &mut scratch).unwrap();
+            scratch.states(heads.head_dim)
+        };
+        let (a, b) = (chunk(0..split), chunk(split..n_blocks));
         for h in 0..heads.num_qo_heads {
-            let m = a.states[h].merge(&b.states[h]);
+            let m = a[h].merge(&b[h]);
             let d = heads.head_dim;
             prop_assert!(allclose(&m.o, &full.o.seq(0)[h * d..(h + 1) * d], 1e-4, 1e-5));
             prop_assert!((m.lse - full.lse[h]).abs() < 1e-3);
@@ -251,9 +255,9 @@ proptest! {
         let layout = dense_layout(1, l_kv, 1, 1);
         let problem = AttentionProblem::standard_batch(&q, &k, &v, &layout, heads, &[l_kv]).unwrap();
         let oa = FlashKernel { tile: TileConfig { tq: 1, tkv: tkv_a }, head_fusion: true }
-            .run(&problem, &variant, &params).unwrap();
+            .run_with_scratch(&problem, &variant, &params, &mut KernelScratch::new()).unwrap();
         let ob = FlashKernel { tile: TileConfig { tq: 1, tkv: tkv_b }, head_fusion: true }
-            .run(&problem, &variant, &params).unwrap();
+            .run_with_scratch(&problem, &variant, &params, &mut KernelScratch::new()).unwrap();
         prop_assert!(allclose(oa.o.seq(0), ob.o.seq(0), 1e-5, 1e-6));
         prop_assert!((oa.lse[0] - ob.lse[0]).abs() < 1e-4);
     }

@@ -538,7 +538,7 @@ fn rank_loop(
         },
         num_ctas,
         fi_sched::plan::CostModel::default(),
-        fi_sched::wrapper::SchedulePolicy::Balanced,
+        fi_sched::pipeline::SchedulePolicy::Balanced,
         fi_core::arch::Arch::Hopper,
     )
     .expect("rank pipeline config validated at executor start");

@@ -3,7 +3,7 @@
 //! A minimal, CPU-executable decoder-only transformer ("mini-LLM") that
 //! drives the FlashInfer-rs attention engine **end-to-end with real
 //! numbers**: RMSNorm → QKV projection → fused-RoPE paged attention
-//! (through `fi-sched`'s plan/run wrapper over a real `fi-kvcache` pool)
+//! (through `fi-sched`'s plan/run pipeline over a real `fi-kvcache` pool)
 //! → output projection → gated-SiLU MLP, per layer, with greedy sampling
 //! on top.
 //!

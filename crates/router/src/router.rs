@@ -60,9 +60,10 @@ pub struct RouterConfig {
     pub max_in_flight: usize,
     /// Bound of each request's token stream channel.
     pub stream_capacity: usize,
-    /// Dispatcher poll interval while requests are in flight.
-    pub tick: Duration,
 }
+
+/// Dispatcher poll interval while requests are in flight.
+const TICK: Duration = Duration::from_micros(500);
 
 impl Default for RouterConfig {
     fn default() -> RouterConfig {
@@ -72,7 +73,6 @@ impl Default for RouterConfig {
             growth: GrowthPolicy::default(),
             max_in_flight: 32,
             stream_capacity: 16,
-            tick: Duration::from_micros(500),
         }
     }
 }
@@ -133,9 +133,6 @@ impl RouterConfig {
         if !(self.growth.waiting_served_ratio > 0.0 && self.growth.waiting_served_ratio.is_finite())
         {
             return bad("waiting_served_ratio must be positive".into());
-        }
-        if self.tick.is_zero() {
-            return bad("tick must be positive".into());
         }
         Ok(())
     }
@@ -548,11 +545,11 @@ impl Dispatcher {
             }
             if !self.in_flight.is_empty() || self.dispatched == before {
                 // Outcomes arrive from the scheduler thread, and bucket
-                // refill is wall-clock: poll at the configured cadence
+                // refill is wall-clock: poll at a fixed cadence
                 // instead of spinning. This also paces rate-limit waits —
                 // a blocked queue head re-checks its bucket once per tick,
                 // so `rate_delayed_ticks` counts ticks, not loop spins.
-                std::thread::sleep(self.cfg.tick);
+                std::thread::sleep(TICK);
             }
         }
         // Everything dispatched has finished; drain the backend itself.

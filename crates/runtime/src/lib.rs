@@ -58,9 +58,9 @@
 //! which is also what makes preempt-and-recompute exact.
 //!
 //! The final [`RuntimeMetrics`] embeds the simulator's `ServingMetrics`
-//! so a simulated and a real run of one workload can be compared
-//! field-for-field, and adds lifecycle accounting that reconciles
-//! exactly: `submitted == completed + rejected + cancelled`.
+//! (same fields, filled from wall-clock events) and adds lifecycle
+//! accounting that reconciles exactly:
+//! `submitted == completed + rejected + cancelled`.
 
 pub mod metrics;
 mod pool;

@@ -42,12 +42,11 @@ pub struct TenantLatency {
 /// Snapshot of a runtime run, returned by `Runtime::finish`.
 ///
 /// Embeds [`ServingMetrics`] — the same struct the discrete-event
-/// simulator reports — so a simulated run and a real-kernel run of the
-/// same workload can be compared field-for-field (TTFT/ITL percentiles,
-/// steps, preemptions, plan-cache and gather counters), and adds the
-/// lifecycle accounting only a concurrent runtime has: every submission
-/// ends in exactly one of completed / rejected / cancelled, and
-/// [`RuntimeMetrics::reconciles`] checks that identity.
+/// simulator reports (TTFT/ITL percentiles, steps, preemptions,
+/// plan-cache and gather counters), here filled from wall-clock events —
+/// and adds the lifecycle accounting only a concurrent runtime has: every
+/// submission ends in exactly one of completed / rejected / cancelled,
+/// and [`RuntimeMetrics::reconciles`] checks that identity.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RuntimeMetrics {
     /// Latency samples, step counts, and planner/kernel observables —
@@ -82,8 +81,8 @@ pub struct RuntimeMetrics {
     /// (the unsharded path issues no collectives).
     pub comm: CommStats,
     /// Whole-run TTFT/ITL digests (sorted once at drain) — the reporting
-    /// surface for latency; the raw sample vectors inside `serving` stay
-    /// only for the field-for-field simulator cross-check.
+    /// surface for latency; the raw sample vectors inside `serving` are
+    /// what [`RuntimeMetrics::merge`] re-digests across replicas.
     pub latency: RequestLatency,
     /// Per-tenant latency digests, ascending by tenant tag. Only tenants
     /// that produced at least one first token appear.

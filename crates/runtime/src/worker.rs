@@ -206,7 +206,7 @@ pub(crate) fn worker_loop<TKV: Scalar>(
         },
         cfg.num_ctas,
         fi_sched::plan::CostModel::default(),
-        fi_sched::wrapper::SchedulePolicy::Balanced,
+        fi_sched::pipeline::SchedulePolicy::Balanced,
         fi_core::arch::Arch::Hopper,
     )
     .expect("worker pipeline config validated at runtime start");

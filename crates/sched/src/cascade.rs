@@ -610,6 +610,7 @@ impl CascadeDecodeGroup {
 mod tests {
     use super::*;
     use fi_core::kernel::FlashKernel;
+    use fi_core::scratch::KernelScratch;
     use fi_core::tiles::TileConfig;
     use fi_core::variant::VanillaAttention;
     use fi_tensor::numerics::allclose;
@@ -774,7 +775,9 @@ mod tests {
         let single = BlockSparseMatrix::new(tree.rows, tree.cols, 1, single_rows).unwrap();
         let problem =
             AttentionProblem::standard_batch(&q, &k, &v, &single, heads, &kv_lens).unwrap();
-        let direct = kernel.run(&problem, &variant, &params).unwrap();
+        let direct = kernel
+            .run_with_scratch(&problem, &variant, &params, &mut KernelScratch::new())
+            .unwrap();
 
         for r in 0..tree.rows {
             assert!(
@@ -1038,7 +1041,9 @@ mod tests {
             tile: TileConfig { tq: 4, tkv: 4 },
             head_fusion: true,
         };
-        let direct = kernel.run(&problem, &variant, &params).unwrap();
+        let direct = kernel
+            .run_with_scratch(&problem, &variant, &params, &mut KernelScratch::new())
+            .unwrap();
         for r in 0..rows {
             assert!(
                 allclose(out.o.seq(r), direct.o.seq(r), 1e-5, 1e-6),

@@ -2,7 +2,7 @@
 //!
 //! FlashInfer's dynamism-aware runtime (§3.3): the load-balanced scheduler,
 //! the CUDAGraph-compatible workspace, the split-KV contraction step, and
-//! the user-facing plan/run wrapper.
+//! the user-facing plan/run pair.
 //!
 //! * [`plan`] — Algorithm 1: chunk every query tile's KV into pieces of at
 //!   most `L_kv` slots, then assign chunks to CTAs longest-processing-time
@@ -17,30 +17,25 @@
 //!   merges each split tile's partial states in deterministic ascending
 //!   chunk order (the paper avoids Stream-K atomic aggregation precisely
 //!   to keep outputs deterministic).
-//! * [`pipeline`] — the unified plan→workspace→run→merge path (§3.4):
-//!   [`AttentionPipeline`] owns a shape-keyed [`pipeline::PlanCache`]
-//!   (sorted per-tile `(qo_rows, kv_len)` signatures + tile + arch), a
-//!   monotonically growing workspace, and one `run` entry point dispatching
-//!   to sequential or parallel execution. Every consumer — serving cost
-//!   backends, the cascade, the model engine, CUDAGraph capture — plans
-//!   through it.
-//! * [`wrapper`] — the `AttentionWrapper` analog (Listing 1): `plan(...)`
-//!   on sequence-length change, `run(...)` per layer, plan caching across
-//!   layers, and writethrough of unsplit tiles directly to the final
-//!   output (Appendix D.2). A thin facade over [`pipeline`].
+//! * [`pipeline`] — the unified plan→workspace→run→merge path (§3.4) and
+//!   the `AttentionWrapper` analog (Listing 1): [`AttentionPipeline`] owns
+//!   a shape-keyed [`pipeline::PlanCache`] (sorted per-tile
+//!   `(qo_rows, kv_len)` signatures + tile + arch), a workspace that grows
+//!   monotonically or is caller-allocated with final bounds, `plan(...)` on
+//!   sequence-length change and one `run(...)` per layer, with writethrough
+//!   of unsplit tiles directly to the final output (Appendix D.2). Every
+//!   consumer — serving cost backends, the cascade, the model engine,
+//!   CUDAGraph capture — plans through it.
 
 pub mod cascade;
 pub mod contraction;
 pub mod error;
-pub mod parallel;
 pub mod pipeline;
 pub mod plan;
 pub mod workspace;
-pub mod wrapper;
 
 pub use cascade::{CascadeAttention, CascadeDecodeGroup, PrefixNode, PrefixTree};
 pub use error::SchedError;
-pub use pipeline::{AttentionPipeline, ExecMode, PipelineStats, PlanCache, WorkspaceMode};
+pub use pipeline::{AttentionPipeline, PipelineStats, PlanCache, SchedulePolicy, WorkspaceMode};
 pub use plan::{CostModel, Plan, WorkItem};
 pub use workspace::{Workspace, WorkspaceLayout};
-pub use wrapper::{BatchAttentionHandler, SchedulePolicy};

@@ -16,9 +16,14 @@
 //!   never shrunk — until a CUDAGraph capture freezes it, after which any
 //!   plan that would need more space fails instead of moving the sections
 //!   (the frozen-pointer contract, Appendix D);
-//! * one [`AttentionPipeline::run`] entry point dispatching to the
-//!   sequential persistent-kernel emulation or the multithreaded executor
-//!   ([`crate::parallel::run_plan_parallel`]) behind [`ExecMode`].
+//! * one [`AttentionPipeline::run`] entry point: the sequential
+//!   persistent-kernel emulation. Live parallelism sits above it — the
+//!   runtime's worker pool and fi-dist's rank threads each own a pipeline.
+//!
+//! [`AttentionPipeline::plan`] / [`AttentionPipeline::run`] are the
+//! Listing-1 pair: `plan(seqlen_info)` on the CPU whenever sequence lengths
+//! change (cheap, cacheable, *not* captured by CUDAGraph), then `run(q, kv)`
+//! per layer (captured and replayed).
 
 use std::collections::{HashMap, VecDeque};
 
@@ -42,18 +47,6 @@ pub enum SchedulePolicy {
     Balanced,
     /// One tile per CTA, round-robin (the FA-style baseline).
     Naive,
-}
-
-/// How `run` executes the planned work items.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Drain CTA queues one after another on the calling thread.
-    Sequential,
-    /// One worker per CTA-queue bucket, bit-identical to sequential.
-    Parallel {
-        /// Upper bound on worker threads.
-        max_threads: usize,
-    },
 }
 
 /// Whether the pipeline may enlarge its workspace.
@@ -355,7 +348,6 @@ pub struct AttentionPipeline {
     cost: CostModel,
     policy: SchedulePolicy,
     arch: Arch,
-    exec: ExecMode,
     mode: WorkspaceMode,
     frozen: bool,
     bounds: GrowBounds,
@@ -406,7 +398,6 @@ impl AttentionPipeline {
             cost,
             policy,
             arch,
-            exec: ExecMode::Sequential,
             mode: WorkspaceMode::Grow,
             frozen: false,
             bounds,
@@ -519,16 +510,6 @@ impl AttentionPipeline {
     /// Mutable access to the workspace (integration points and tests).
     pub fn workspace_mut(&mut self) -> &mut Workspace {
         &mut self.workspace
-    }
-
-    /// How `run` executes work items.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec
-    }
-
-    /// Switch between sequential and parallel execution (bit-identical).
-    pub fn set_exec_mode(&mut self, exec: ExecMode) {
-        self.exec = exec;
     }
 
     /// Whether the workspace has been frozen by a graph capture.
@@ -662,8 +643,7 @@ impl AttentionPipeline {
         Ok(self.current.as_ref().expect("just stored"))
     }
 
-    /// Execute the staged plan on a problem (one layer's attention),
-    /// sequentially or in parallel per [`ExecMode`] — both bit-identical.
+    /// Execute the staged plan on a problem (one layer's attention).
     ///
     /// # Errors
     ///
@@ -684,26 +664,15 @@ impl AttentionPipeline {
                 "problem layout differs from planned layout; call plan again".into(),
             ));
         }
-        let out = match self.exec {
-            ExecMode::Sequential => run_plan_sequential(
-                self.kernel,
-                plan,
-                &mut self.workspace,
-                problem,
-                variant,
-                params,
-                &mut self.scratch,
-            )?,
-            ExecMode::Parallel { max_threads } => crate::parallel::run_plan_parallel(
-                self.kernel,
-                plan,
-                &mut self.workspace,
-                problem,
-                variant,
-                params,
-                max_threads,
-            )?,
-        };
+        let out = run_plan_sequential(
+            self.kernel,
+            plan,
+            &mut self.workspace,
+            problem,
+            variant,
+            params,
+            &mut self.scratch,
+        )?;
         self.stats.items_executed += plan.num_items() as u64;
         self.stats.merges += plan.merge_groups.len() as u64;
         self.kernel_stats.absorb(&out.stats);
@@ -729,7 +698,7 @@ impl AttentionPipeline {
 /// queue in order, split tiles land in the workspace, writethrough tiles go
 /// straight to the output (Appendix D.2), and the contraction pass merges
 /// the rest deterministically.
-pub(crate) fn run_plan_sequential<TQ: Scalar, TKV: Scalar>(
+fn run_plan_sequential<TQ: Scalar, TKV: Scalar>(
     kernel: FlashKernel,
     plan: &Plan,
     workspace: &mut Workspace,
@@ -811,9 +780,10 @@ pub(crate) fn run_plan_sequential<TQ: Scalar, TKV: Scalar>(
 }
 
 /// Write a tile's final states into the output, applying the output
-/// transform and recording LSE. Shared by both executors and the cascade.
+/// transform and recording LSE (the merged split tiles of the contraction
+/// pass).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn finalize_tile_into<TQ: Scalar, TKV: Scalar>(
+fn finalize_tile_into<TQ: Scalar, TKV: Scalar>(
     problem: &AttentionProblem<'_, TQ, TKV>,
     variant: &dyn AttentionVariant,
     params: &VariantParams,
@@ -852,7 +822,7 @@ pub(crate) fn finalize_tile_into<TQ: Scalar, TKV: Scalar>(
 /// `(o, lse)` output buffers — the allocation-free sequential path. `orow`
 /// is a caller-reused `d`-length staging buffer for the output transform.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn finalize_tile_flat_into<TQ: Scalar, TKV: Scalar>(
+fn finalize_tile_flat_into<TQ: Scalar, TKV: Scalar>(
     problem: &AttentionProblem<'_, TQ, TKV>,
     variant: &dyn AttentionVariant,
     params: &VariantParams,
@@ -892,7 +862,11 @@ pub(crate) fn finalize_tile_flat_into<TQ: Scalar, TKV: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fi_core::config::HeadConfig;
+    use fi_core::variant::{SigmoidAttention, VanillaAttention};
     use fi_sparse::bsr::BlockEntry;
+    use fi_tensor::numerics::allclose;
+    use fi_tensor::Tensor;
 
     fn layout_for(kv_lens: &[usize]) -> BlockSparseMatrix {
         let cols: usize = kv_lens.iter().sum::<usize>().max(1);
@@ -921,15 +895,219 @@ mod tests {
         .unwrap()
     }
 
+    fn mix(i: usize, salt: u64) -> f32 {
+        let x = (i as u64)
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(salt);
+        ((x >> 33) as f32 / (1u64 << 31) as f32) - 0.5
+    }
+
+    /// A batch with per-request lengths, bc=2, one block row per request.
+    fn make_case(
+        kv_lens: &[usize],
+        qo_lens: &[usize],
+        heads: HeadConfig,
+    ) -> (
+        RaggedTensor<f32>,
+        Tensor<f32>,
+        Tensor<f32>,
+        BlockSparseMatrix,
+    ) {
+        let total_kv: usize = kv_lens.iter().map(|l| l.div_ceil(2) * 2).sum();
+        let mut q = RaggedTensor::<f32>::from_seq_lens(qo_lens, heads.qo_width());
+        for (i, x) in q.as_tensor_mut().as_mut_slice().iter_mut().enumerate() {
+            *x = mix(i, 1);
+        }
+        let k = Tensor::<f32>::from_fn(vec![total_kv, heads.kv_width()], |i| mix(i, 2));
+        let v = Tensor::<f32>::from_fn(vec![total_kv, heads.kv_width()], |i| mix(i, 3));
+        // Pages of 2, laid out request-contiguous.
+        let mut rows = Vec::new();
+        let mut page = 0usize;
+        let mut row = 0usize;
+        for (&lkv, &lqo) in kv_lens.iter().zip(qo_lens) {
+            let n_pages = lkv.div_ceil(2);
+            let entries: Vec<BlockEntry> = (0..n_pages)
+                .map(|p| BlockEntry {
+                    col_block: page + p,
+                    len: if p + 1 == n_pages && lkv % 2 == 1 {
+                        1
+                    } else {
+                        2
+                    },
+                })
+                .collect();
+            rows.push((row, row + lqo, entries));
+            page += n_pages;
+            row += lqo;
+        }
+        let layout = BlockSparseMatrix::new(row, total_kv, 2, rows).unwrap();
+        (q, k, v, layout)
+    }
+
+    /// The Listing-1 setup: a caller-allocated workspace with final bounds.
+    fn fixed_pipeline(
+        tile: TileConfig,
+        num_ctas: usize,
+        policy: SchedulePolicy,
+    ) -> AttentionPipeline {
+        let ws = Workspace::allocate(WorkspaceLayout::compute(8, 4, 8, num_ctas, 4096));
+        AttentionPipeline::with_workspace(
+            FlashKernel {
+                tile,
+                head_fusion: true,
+            },
+            num_ctas,
+            CostModel::default(),
+            policy,
+            Arch::Ampere,
+            ws,
+        )
+        .unwrap()
+    }
+
+    fn direct_kernel<TQ: Scalar, TKV: Scalar>(
+        tile: TileConfig,
+        problem: &AttentionProblem<'_, TQ, TKV>,
+        variant: &dyn AttentionVariant,
+        params: &VariantParams,
+    ) -> KernelOutput {
+        FlashKernel {
+            tile,
+            head_fusion: true,
+        }
+        .run_with_scratch(problem, variant, params, &mut KernelScratch::new())
+        .unwrap()
+    }
+
+    #[test]
+    fn plan_run_matches_direct_kernel() {
+        let heads = HeadConfig::new(2, 1, 8).unwrap();
+        let params = VariantParams::for_head_dim(8);
+        let variant = VanillaAttention { causal: true };
+        let (q, k, v, layout) = make_case(&[40, 3, 17], &[2, 1, 3], heads);
+        let kv_lens = [40, 3, 17];
+        let problem =
+            AttentionProblem::standard_batch(&q, &k, &v, &layout, heads, &kv_lens).unwrap();
+
+        let tile = TileConfig { tq: 4, tkv: 8 };
+        let mut p = fixed_pipeline(tile, 6, SchedulePolicy::Balanced);
+        p.plan(&layout, heads.num_qo_heads, heads.head_dim).unwrap();
+        let sched_out = p.run(&problem, &variant, &params).unwrap();
+
+        let direct = direct_kernel(tile, &problem, &variant, &params);
+        for b in 0..q.batch_size() {
+            assert!(
+                allclose(sched_out.o.seq(b), direct.o.seq(b), 1e-4, 1e-5),
+                "request {b}"
+            );
+        }
+        for (a, b) in sched_out.lse.iter().zip(&direct.lse) {
+            if *b == f32::NEG_INFINITY {
+                assert_eq!(*a, f32::NEG_INFINITY);
+            } else {
+                assert!((a - b).abs() < 1e-3);
+            }
+        }
+        // The long request must actually have been split.
+        assert!(p.plan_ref().unwrap().num_partials >= 2);
+    }
+
+    #[test]
+    fn naive_policy_also_correct_just_unbalanced() {
+        let heads = HeadConfig::new(1, 1, 8).unwrap();
+        let params = VariantParams::for_head_dim(8);
+        let variant = VanillaAttention { causal: true };
+        let (q, k, v, layout) = make_case(&[64, 2], &[1, 1], heads);
+        let problem =
+            AttentionProblem::standard_batch(&q, &k, &v, &layout, heads, &[64, 2]).unwrap();
+        let tile = TileConfig { tq: 1, tkv: 16 };
+        let mut np = fixed_pipeline(tile, 4, SchedulePolicy::Naive);
+        np.plan(&layout, 1, 8).unwrap();
+        let naive_out = np.run(&problem, &variant, &params).unwrap();
+        let mut bp = fixed_pipeline(tile, 4, SchedulePolicy::Balanced);
+        bp.plan(&layout, 1, 8).unwrap();
+        let bal_out = bp.run(&problem, &variant, &params).unwrap();
+        assert!(allclose(naive_out.o.seq(0), bal_out.o.seq(0), 1e-4, 1e-5));
+        assert!(
+            bp.plan_ref().unwrap().balance() > np.plan_ref().unwrap().balance(),
+            "balanced should beat naive on skew"
+        );
+    }
+
+    #[test]
+    fn non_softmax_variant_through_scheduler() {
+        let heads = HeadConfig::new(1, 1, 8).unwrap();
+        let params = VariantParams::for_head_dim(8).with_extra("bias", -0.2);
+        let variant = SigmoidAttention;
+        let (q, k, v, layout) = make_case(&[33], &[1], heads);
+        let problem = AttentionProblem::standard_batch(&q, &k, &v, &layout, heads, &[33]).unwrap();
+        let tile = TileConfig { tq: 1, tkv: 8 };
+        let mut p = fixed_pipeline(tile, 4, SchedulePolicy::Balanced);
+        p.plan(&layout, 1, 8).unwrap();
+        let out = p.run(&problem, &variant, &params).unwrap();
+        let direct = direct_kernel(tile, &problem, &variant, &params);
+        assert!(allclose(out.o.seq(0), direct.o.seq(0), 1e-4, 1e-5));
+    }
+
+    #[test]
+    fn run_without_plan_or_with_stale_plan_errors() {
+        let heads = HeadConfig::new(1, 1, 8).unwrap();
+        let params = VariantParams::for_head_dim(8);
+        let variant = VanillaAttention { causal: true };
+        let (q, k, v, layout) = make_case(&[8], &[1], heads);
+        let problem = AttentionProblem::standard_batch(&q, &k, &v, &layout, heads, &[8]).unwrap();
+        let mut p = fixed_pipeline(TileConfig { tq: 1, tkv: 8 }, 2, SchedulePolicy::Balanced);
+        assert!(matches!(
+            p.run(&problem, &variant, &params),
+            Err(SchedError::PlanMismatch(_))
+        ));
+        // Plan for a different layout, then run with this problem.
+        let (_, _, _, other) = make_case(&[9], &[1], heads);
+        p.plan(&other, 1, 8).unwrap();
+        assert!(matches!(
+            p.run(&problem, &variant, &params),
+            Err(SchedError::PlanMismatch(_))
+        ));
+    }
+
+    #[test]
+    fn workspace_too_small_detected_at_plan() {
+        let heads = HeadConfig::new(4, 1, 8).unwrap();
+        let (_, _, _, layout) = make_case(&[500], &[1], heads);
+        // Declare a workspace for 1 CTA but plan with 16: partials overflow.
+        let ws = Workspace::allocate(WorkspaceLayout::compute(1, 4, 8, 1, 4096));
+        let mut p = AttentionPipeline::with_workspace(
+            FlashKernel {
+                tile: TileConfig { tq: 1, tkv: 16 },
+                head_fusion: true,
+            },
+            16,
+            CostModel::default(),
+            SchedulePolicy::Balanced,
+            Arch::Ampere,
+            ws,
+        )
+        .unwrap();
+        assert!(matches!(
+            p.plan(&layout, 4, 8),
+            Err(SchedError::WorkspaceTooSmall { .. })
+        ));
+    }
+
     #[test]
     fn same_shape_across_layers_plans_once() {
         let layout = layout_for(&[40, 3, 17]);
-        let mut p = pipeline(4);
-        for _ in 0..8 {
-            p.plan(&layout, 2, 8).unwrap();
+        // A growable and a caller-bounded workspace cache alike.
+        for mut p in [
+            pipeline(4),
+            fixed_pipeline(TileConfig { tq: 1, tkv: 8 }, 4, SchedulePolicy::Balanced),
+        ] {
+            for _ in 0..32 {
+                p.plan(&layout, 2, 8).unwrap();
+            }
+            assert_eq!(p.stats().plans_computed, 1);
+            assert_eq!(p.stats().plan_cache_hits, 31);
         }
-        assert_eq!(p.stats().plans_computed, 1);
-        assert_eq!(p.stats().plan_cache_hits, 7);
     }
 
     #[test]

@@ -3,14 +3,16 @@
 //! and Algorithm 1's structural invariants hold.
 
 #![allow(clippy::needless_range_loop)]
+use fi_core::arch::Arch;
 use fi_core::config::HeadConfig;
 use fi_core::kernel::{AttentionProblem, FlashKernel, RowMeta};
+use fi_core::scratch::KernelScratch;
 use fi_core::tiles::TileConfig;
 use fi_core::variant::{VanillaAttention, VariantParams};
 use fi_sched::cascade::{CascadeAttention, PrefixNode, PrefixTree};
+use fi_sched::pipeline::{AttentionPipeline, SchedulePolicy};
 use fi_sched::plan::{balanced_plan, naive_plan, CostModel};
 use fi_sched::workspace::{Workspace, WorkspaceLayout};
-use fi_sched::wrapper::{BatchAttentionHandler, SchedulePolicy};
 use fi_sparse::bsr::{BlockEntry, BlockSparseMatrix};
 use fi_tensor::numerics::allclose;
 use fi_tensor::{RaggedTensor, Tensor};
@@ -80,16 +82,17 @@ proptest! {
             max_tile_rows, heads.num_qo_heads, heads.head_dim, num_ctas, 1 << 14,
         ));
         let policy = if policy_naive { SchedulePolicy::Naive } else { SchedulePolicy::Balanced };
-        let mut h = BatchAttentionHandler::new(
+        let mut h = AttentionPipeline::with_workspace(
             FlashKernel { tile, head_fusion: true },
             num_ctas,
             CostModel::default(),
             policy,
+            Arch::Ampere,
             ws,
         ).unwrap();
         h.plan(&layout, heads.num_qo_heads, heads.head_dim).unwrap();
         let sched = h.run(&problem, &variant, &params).unwrap();
-        let direct = FlashKernel { tile, head_fusion: true }.run(&problem, &variant, &params).unwrap();
+        let direct = FlashKernel { tile, head_fusion: true }.run_with_scratch(&problem, &variant, &params, &mut KernelScratch::new()).unwrap();
         for b in 0..q.batch_size() {
             prop_assert!(
                 allclose(sched.o.seq(b), direct.o.seq(b), 3e-4, 3e-5),
@@ -173,7 +176,7 @@ proptest! {
             4,
             CostModel::default(),
             SchedulePolicy::Balanced,
-            fi_core::arch::Arch::Ampere,
+            Arch::Ampere,
         )
         .unwrap();
         let out = cascade
@@ -183,7 +186,7 @@ proptest! {
         let flat = BlockSparseMatrix::new(rows, cols, 1, flat_rows).unwrap();
         let problem =
             AttentionProblem::standard_batch(&q, &k, &v, &flat, heads, &vec![kv_len; rows]).unwrap();
-        let direct = kernel.run(&problem, &variant, &params).unwrap();
+        let direct = kernel.run_with_scratch(&problem, &variant, &params, &mut KernelScratch::new()).unwrap();
         for r in 0..rows {
             prop_assert!(allclose(out.o.seq(r), direct.o.seq(r), 1e-4, 1e-5), "row {r}");
         }

@@ -6,8 +6,8 @@
 //! code in [`portable`] and the explicit SIMD arms in `simd_x86` /
 //! `simd_neon` (see [`crate::simd`] for the detection rules and
 //! `FI_FORCE_SCALAR`). Every consumer — the flash kernel, the reference
-//! oracle, and the parallel executor — must route through these
-//! dispatched functions: kernel-vs-reference and sequential-vs-parallel
+//! oracle, and the runtime's workers — must route through these
+//! dispatched functions: kernel-vs-reference and sequential-vs-concurrent
 //! comparisons then see identical arithmetic at whatever feature level
 //! the process detected.
 

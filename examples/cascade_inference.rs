@@ -9,6 +9,7 @@
 use flashinfer::core::arch::Arch;
 use flashinfer::core::config::HeadConfig;
 use flashinfer::core::kernel::{AttentionProblem, FlashKernel, RowMeta};
+use flashinfer::core::scratch::KernelScratch;
 use flashinfer::core::tiles::TileConfig;
 use flashinfer::core::variant::{VanillaAttention, VariantParams};
 use flashinfer::sched::cascade::{CascadeAttention, PrefixNode, PrefixTree};
@@ -109,6 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tile: TileConfig { tq: 1, tkv: 32 },
         head_fusion: true,
     };
+    let mut scratch = KernelScratch::new();
     // One pipeline plans every cascade level; re-running the same tree
     // would hit its shape-keyed plan cache level-for-level.
     let mut pipeline = AttentionPipeline::new(
@@ -146,7 +148,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let flat = BlockSparseMatrix::new(rows, cols, 1, flat_rows)?;
     let problem = AttentionProblem::standard_batch(&q, &k, &v, &flat, heads, &vec![kv_len; rows])?;
-    let direct = kernel.run(&problem, &variant, &params)?;
+    let direct = kernel.run_with_scratch(&problem, &variant, &params, &mut scratch)?;
     let mut worst = 0.0f32;
     for r in 0..rows {
         worst = worst.max(max_abs_diff(out.o.seq(r), direct.o.seq(r)));

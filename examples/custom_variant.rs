@@ -9,6 +9,7 @@ use flashinfer::core::config::HeadConfig;
 use flashinfer::core::jit::{ClosureVariant, KernelCache, KernelKey, LogitsOp, VariantSpec};
 use flashinfer::core::kernel::{AttentionProblem, FlashKernel};
 use flashinfer::core::reference::reference_attention;
+use flashinfer::core::scratch::KernelScratch;
 use flashinfer::core::tiles::TileConfig;
 use flashinfer::core::variant::VariantParams;
 use flashinfer::sparse::bsr::{BlockEntry, BlockSparseMatrix};
@@ -81,7 +82,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tile: TileConfig { tq: 1, tkv: 32 },
         head_fusion: true,
     };
-    let out = kern.run(&problem, variant.as_ref(), &params)?;
+    let mut scratch = KernelScratch::new();
+    let out = kern.run_with_scratch(&problem, variant.as_ref(), &params, &mut scratch)?;
     let r = reference_attention(
         variant.as_ref(),
         &params,
@@ -105,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         logit * p.sm_scale / (1.0 + 0.01 * dist)
     }));
     custom.on_mask = Some(Box::new(|_, ctx| ctx.causally_visible()));
-    let out2 = kern.run(&problem, &custom, &params)?;
+    let out2 = kern.run_with_scratch(&problem, &custom, &params, &mut scratch)?;
     let r2 = reference_attention(
         &custom,
         &params,
@@ -133,7 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dsl_spec = flashinfer::core::dsl::parse(dsl_src)?;
     let dsl_variant = dsl_spec.build()?;
     let p2 = VariantParams::for_head_dim(64).with_extra("cap", 30.0);
-    let out3 = kern.run(&problem, &dsl_variant, &p2)?;
+    let out3 = kern.run_with_scratch(&problem, &dsl_variant, &p2, &mut scratch)?;
     let r3 = reference_attention(
         &dsl_variant,
         &p2,

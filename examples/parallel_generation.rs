@@ -9,6 +9,7 @@
 
 use flashinfer::core::config::HeadConfig;
 use flashinfer::core::kernel::{AttentionProblem, FlashKernel, RowMeta};
+use flashinfer::core::scratch::KernelScratch;
 use flashinfer::core::state::AttentionState;
 use flashinfer::core::tiles::TileConfig;
 use flashinfer::core::variant::{VanillaAttention, VariantParams};
@@ -110,9 +111,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tile: TileConfig { tq: 1, tkv: 8 },
         head_fusion: true,
     };
+    let mut scratch = KernelScratch::new();
     let kv_lens = vec![kv_len; rows];
     let p_single = AttentionProblem::standard_batch(&q, &k, &v, &single, heads, &kv_lens)?;
-    let out_single = kern.run(&p_single, &variant, &params)?;
+    let out_single = kern.run_with_scratch(&p_single, &variant, &params, &mut scratch)?;
 
     // Run each composable part and merge states with ⊕ (§2.2).
     let row_meta: Vec<RowMeta> = (0..rows)
@@ -143,8 +145,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         row_meta,
         vec![PREFIX; suffix_part.n_block_rows()], // suffix positions follow the prefix
     )?;
-    let out_prefix = kern.run(&p_prefix, &variant, &params)?;
-    let out_suffix = kern.run(&p_suffix, &variant, &params)?;
+    let out_prefix = kern.run_with_scratch(&p_prefix, &variant, &params, &mut scratch)?;
+    let out_suffix = kern.run_with_scratch(&p_suffix, &variant, &params, &mut scratch)?;
 
     let d = heads.head_dim;
     let mut max_diff = 0.0f32;

@@ -9,6 +9,7 @@
 use flashinfer::core::config::HeadConfig;
 use flashinfer::core::kernel::{AttentionProblem, FlashKernel, RowMeta};
 use flashinfer::core::reference::reference_attention;
+use flashinfer::core::scratch::KernelScratch;
 use flashinfer::core::tiles::TileConfig;
 use flashinfer::core::variant::{CustomMaskAttention, VariantParams};
 use flashinfer::sparse::csr::tree_mask;
@@ -79,7 +80,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tile: TileConfig { tq: 4, tkv: 8 },
         head_fusion: true,
     };
-    let out = kern.run(&problem, &variant, &params)?;
+    let mut scratch = KernelScratch::new();
+    let out = kern.run_with_scratch(&problem, &variant, &params, &mut scratch)?;
 
     // Reference check.
     let r = reference_attention(

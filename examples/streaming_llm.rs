@@ -10,6 +10,7 @@ use flashinfer::core::config::HeadConfig;
 use flashinfer::core::jit::VariantSpec;
 use flashinfer::core::kernel::{AttentionProblem, FlashKernel};
 use flashinfer::core::reference::reference_attention;
+use flashinfer::core::scratch::KernelScratch;
 use flashinfer::core::tiles::TileConfig;
 use flashinfer::core::variant::VariantParams;
 use flashinfer::gpusim::GpuSpec;
@@ -62,7 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tile: TileConfig { tq: 1, tkv: 16 },
         head_fusion: true,
     };
-    let out = kern.run(&problem, &fused, &params)?;
+    let mut scratch = KernelScratch::new();
+    let out = kern.run_with_scratch(&problem, &fused, &params, &mut scratch)?;
     let r = reference_attention(
         &fused,
         &params,

@@ -71,9 +71,6 @@ done
 cargo test -q --test cluster_serving "${PROFILE_FLAGS[@]}" disaggregated_prefill_decode
 cargo test -q --test cluster_serving "${PROFILE_FLAGS[@]}" draining_a_replica
 
-echo "==> cargo bench --no-run (benches must keep compiling)"
-cargo bench --workspace --no-run
-
 echo "==> benchmark/ builds offline against its pinned API surface + --quick smoke"
 benchmark/check.sh
 

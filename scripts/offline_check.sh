@@ -37,12 +37,9 @@ cat >>"$scratch/Cargo.toml" <<'EOF'
 [patch.crates-io]
 serde = { path = "stubs/serde" }
 serde_json = { path = "stubs/serde_json" }
-parking_lot = { path = "stubs/parking_lot" }
-crossbeam = { path = "stubs/crossbeam" }
 rand = { path = "stubs/rand" }
 rand_distr = { path = "stubs/rand_distr" }
 proptest = { path = "stubs/proptest" }
-criterion = { path = "stubs/criterion" }
 EOF
 
 export CARGO_NET_OFFLINE=true

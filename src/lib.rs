@@ -12,7 +12,7 @@
 //! * [`core`] — attention states, FA2-style kernels, customizable variants,
 //!   the JIT specialization layer, and tile-size heuristics.
 //! * [`sched`] — the load-balanced runtime scheduler (Algorithm 1), the
-//!   plan/run wrapper API and the CUDAGraph-compatible workspace layout.
+//!   plan/run pipeline and the CUDAGraph-compatible workspace layout.
 //! * [`gpusim`] — the analytical GPU execution model used in place of real
 //!   CUDA hardware (see `DESIGN.md` for the substitution argument).
 //! * [`serving`] — a continuous-batching serving engine, workload

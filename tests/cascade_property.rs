@@ -23,8 +23,8 @@ use flashinfer::kvcache::paged::{PagedKvCache, PagedKvConfig};
 use flashinfer::kvcache::RadixTree;
 use flashinfer::runtime::{kv_row, prefix_token, q_row};
 use flashinfer::sched::pipeline::AttentionPipeline;
+use flashinfer::sched::pipeline::SchedulePolicy;
 use flashinfer::sched::plan::CostModel;
-use flashinfer::sched::wrapper::SchedulePolicy;
 use flashinfer::sched::CascadeDecodeGroup;
 use flashinfer::sparse::page::PageTable;
 use flashinfer::tensor::RaggedTensor;

@@ -13,7 +13,6 @@ use flashinfer::kvcache::paged::{PagedKvCache, PagedKvConfig};
 use flashinfer::sched::pipeline::{AttentionPipeline, SchedulePolicy};
 use flashinfer::sched::plan::CostModel;
 use flashinfer::sched::workspace::{Workspace, WorkspaceLayout};
-use flashinfer::sched::wrapper::BatchAttentionHandler;
 use flashinfer::tensor::RaggedTensor;
 
 #[test]
@@ -154,7 +153,7 @@ fn determinism_across_replans() {
 
     let run_once = || {
         let ws = Workspace::allocate(WorkspaceLayout::compute(1, 2, 8, 16, 1 << 12));
-        let mut h = BatchAttentionHandler::new(
+        let mut h = AttentionPipeline::with_workspace(
             FlashKernel {
                 tile,
                 head_fusion: true,
@@ -162,6 +161,7 @@ fn determinism_across_replans() {
             16,
             CostModel::default(),
             SchedulePolicy::Balanced,
+            Arch::Ampere,
             ws,
         )
         .unwrap();

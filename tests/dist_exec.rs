@@ -25,8 +25,8 @@ use flashinfer::gpusim::GpuSpec;
 use flashinfer::kvcache::paged::{PagedKvCache, PagedKvConfig};
 use flashinfer::runtime::{kv_row, q_row};
 use flashinfer::sched::pipeline::AttentionPipeline;
+use flashinfer::sched::pipeline::SchedulePolicy;
 use flashinfer::sched::plan::CostModel;
-use flashinfer::sched::wrapper::SchedulePolicy;
 use flashinfer::serving::engine::EngineConfig;
 use flashinfer::serving::model::ModelConfig;
 use flashinfer::tensor::RaggedTensor;

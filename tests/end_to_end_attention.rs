@@ -4,6 +4,7 @@
 
 #![allow(clippy::needless_range_loop)]
 #![allow(clippy::too_many_arguments)]
+use flashinfer::core::arch::Arch;
 use flashinfer::core::config::HeadConfig;
 use flashinfer::core::kernel::{AttentionProblem, FlashKernel};
 use flashinfer::core::reference::reference_attention;
@@ -13,9 +14,9 @@ use flashinfer::core::variant::{
     VariantParams,
 };
 use flashinfer::kvcache::paged::{PagedKvCache, PagedKvConfig};
+use flashinfer::sched::pipeline::{AttentionPipeline, SchedulePolicy};
 use flashinfer::sched::plan::CostModel;
 use flashinfer::sched::workspace::{Workspace, WorkspaceLayout};
-use flashinfer::sched::wrapper::{BatchAttentionHandler, SchedulePolicy};
 use flashinfer::tensor::numerics::allclose;
 use flashinfer::tensor::{RaggedTensor, Scalar, F16};
 
@@ -111,7 +112,7 @@ fn run_pipeline<T: Scalar>(
         24,
         1 << 14,
     ));
-    let mut handler = BatchAttentionHandler::new(
+    let mut handler = AttentionPipeline::with_workspace(
         FlashKernel {
             tile,
             head_fusion: true,
@@ -119,6 +120,7 @@ fn run_pipeline<T: Scalar>(
         24,
         CostModel::default(),
         policy,
+        Arch::Ampere,
         ws,
     )
     .unwrap();

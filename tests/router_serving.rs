@@ -37,7 +37,6 @@ fn router_cfg() -> RouterConfig {
         growth: GrowthPolicy::default(),
         max_in_flight: 16,
         stream_capacity: 16,
-        tick: Duration::from_micros(200),
     }
 }
 

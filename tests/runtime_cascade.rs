@@ -18,8 +18,8 @@ use flashinfer::runtime::{
     RuntimeOptions, RuntimeRequest,
 };
 use flashinfer::sched::pipeline::AttentionPipeline;
+use flashinfer::sched::pipeline::SchedulePolicy;
 use flashinfer::sched::plan::CostModel;
-use flashinfer::sched::wrapper::SchedulePolicy;
 use flashinfer::sched::CascadeDecodeGroup;
 use flashinfer::serving::engine::{EngineConfig, PreemptionPolicy};
 use flashinfer::serving::workload::poisson_arrivals;

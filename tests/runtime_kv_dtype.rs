@@ -23,8 +23,8 @@ use flashinfer::runtime::{
     kv_row, q_row, KvPrecision, Runtime, RuntimeConfig, RuntimeOptions, RuntimeRequest,
 };
 use flashinfer::sched::pipeline::AttentionPipeline;
+use flashinfer::sched::pipeline::SchedulePolicy;
 use flashinfer::sched::plan::CostModel;
-use flashinfer::sched::wrapper::SchedulePolicy;
 use flashinfer::serving::engine::{EngineConfig, PreemptionPolicy};
 use flashinfer::tensor::numerics::allclose;
 use flashinfer::tensor::{KvDtype, RaggedTensor};

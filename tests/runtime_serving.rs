@@ -15,8 +15,8 @@ use flashinfer::core::variant::{VanillaAttention, VariantParams};
 use flashinfer::kvcache::paged::{PagedKvCache, PagedKvConfig};
 use flashinfer::runtime::{kv_row, q_row, RequestOutcome, Runtime, RuntimeConfig, RuntimeRequest};
 use flashinfer::sched::pipeline::AttentionPipeline;
+use flashinfer::sched::pipeline::SchedulePolicy;
 use flashinfer::sched::plan::CostModel;
-use flashinfer::sched::wrapper::SchedulePolicy;
 use flashinfer::serving::engine::{EngineConfig, PreemptionPolicy};
 use flashinfer::serving::workload::{deterministic_mix, poisson_arrivals};
 use flashinfer::tensor::RaggedTensor;

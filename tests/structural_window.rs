@@ -6,6 +6,7 @@
 #![allow(clippy::needless_range_loop)]
 use flashinfer::core::config::HeadConfig;
 use flashinfer::core::kernel::{AttentionProblem, FlashKernel};
+use flashinfer::core::scratch::KernelScratch;
 use flashinfer::core::tiles::TileConfig;
 use flashinfer::core::variant::{SlidingWindowAttention, VariantParams};
 use flashinfer::sparse::bsr::{BlockEntry, BlockSparseMatrix};
@@ -59,7 +60,9 @@ fn structural_window_matches_masked_full_attention() {
     let full_layout = BlockSparseMatrix::new(2, pool, 1, full_rows).unwrap();
     let p_full =
         AttentionProblem::standard_batch(&q, &k, &v, &full_layout, heads, &kv_lens).unwrap();
-    let out_full = kern.run(&p_full, &variant, &params).unwrap();
+    let out_full = kern
+        .run_with_scratch(&p_full, &variant, &params, &mut KernelScratch::new())
+        .unwrap();
 
     // Structural layout: only sink + window gathered. The kv positions of
     // gathered slots are NOT contiguous in the sequence, so kv_pos_offsets
@@ -125,7 +128,9 @@ fn structural_window_matches_masked_full_attention() {
                 vec![offset],
             )
             .unwrap();
-            let out = kern.run(&problem, &variant, &params).unwrap();
+            let out = kern
+                .run_with_scratch(&problem, &variant, &params, &mut KernelScratch::new())
+                .unwrap();
             for h in 0..heads.num_qo_heads {
                 let st = AttentionState {
                     o: out.o.seq(0)[h * d..(h + 1) * d].to_vec(),
