@@ -7,6 +7,11 @@
 //! staging step: it widens storage-precision rows into a reused f32 buffer
 //! (the "shared memory" tile) and accounts the bytes moved, which feeds the
 //! GPU cost model and the Appendix B overhead experiment.
+//!
+//! The kernel stages only what needs it. Rows of an f32 pool that no
+//! dequant scale or key/value transform has to rewrite are read where
+//! they lie (the paper's dense path skips the gather), and accounted
+//! through the same run detection and [`GatherStats`] bookkeeping.
 
 use fi_tensor::{Scalar, Tensor};
 
@@ -33,6 +38,37 @@ impl GatherStats {
         self.contiguous_runs += other.contiguous_runs;
         self.scattered_runs += other.scattered_runs;
     }
+
+    /// Account one run of `rows` consecutive pool rows, `row_bytes` read
+    /// per row (K and V together). A run of one is a scattered read, a
+    /// longer one a dense copy (Figure 4 right vs left) — whether the
+    /// rows are then copied into a staged tile or read where they lie.
+    pub(crate) fn record_run(&mut self, rows: usize, row_bytes: usize) {
+        self.rows += rows;
+        self.global_bytes += rows * row_bytes;
+        if rows > 1 {
+            self.contiguous_runs += 1;
+        } else {
+            self.scattered_runs += 1;
+        }
+    }
+}
+
+/// The maximal runs of consecutive slots in a gather list, as index
+/// ranges into `slots`.
+pub(crate) fn slot_runs(slots: &[usize]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    let mut next = 0usize;
+    std::iter::from_fn(move || {
+        let start = next;
+        if start == slots.len() {
+            return None;
+        }
+        next += 1;
+        while next < slots.len() && slots[next] == slots[next - 1] + 1 {
+            next += 1;
+        }
+        Some(start..next)
+    })
 }
 
 /// Per-KV-head dequantization scales applied *during* staging: element
@@ -133,25 +169,10 @@ impl Stager {
             self.buf_k.extend(kr.iter().map(|&x| x.to_f32()));
             self.buf_v.extend(vr.iter().map(|&x| x.to_f32()));
         }
-        // Accounting.
-        self.stats.rows += n;
-        self.stats.global_bytes += 2 * n * d * T::DTYPE.size_bytes();
-        let mut runs = 0usize;
-        let mut contiguous = 0usize;
-        let mut i = 0;
-        while i < n {
-            let mut j = i + 1;
-            while j < n && slots[j] == slots[j - 1] + 1 {
-                j += 1;
-            }
-            runs += 1;
-            if j - i > 1 {
-                contiguous += 1;
-            }
-            i = j;
+        for run in slot_runs(slots) {
+            self.stats
+                .record_run(run.len(), 2 * d * T::DTYPE.size_bytes());
         }
-        self.stats.scattered_runs += runs - contiguous;
-        self.stats.contiguous_runs += contiguous;
         (&self.buf_k, &self.buf_v)
     }
 
@@ -202,47 +223,28 @@ impl Stager {
         v_out.resize(n * width, 0.0);
         let ks = k_pool.as_slice();
         let vs = v_pool.as_slice();
-        let mut runs = 0usize;
-        let mut contiguous = 0usize;
-        let mut i = 0;
-        while i < n {
-            let mut j = i + 1;
-            while j < n && slots[j] == slots[j - 1] + 1 {
-                j += 1;
-            }
-            runs += 1;
-            if j - i > 1 {
-                contiguous += 1;
-            }
-            let src = slots[i] * width..(slots[i] + (j - i)) * width;
+        for run in slot_runs(slots) {
+            let src = slots[run.start] * width..(slots[run.start] + run.len()) * width;
+            let dst = run.start * width..run.end * width;
             match &dequant {
                 None => {
-                    widen_into(&mut k_out[i * width..j * width], &ks[src.clone()]);
-                    widen_into(&mut v_out[i * width..j * width], &vs[src]);
+                    widen_into(&mut k_out[dst.clone()], &ks[src.clone()]);
+                    widen_into(&mut v_out[dst], &vs[src]);
                 }
                 Some(dq) => {
                     widen_rows_scaled(
-                        &mut k_out[i * width..j * width],
+                        &mut k_out[dst.clone()],
                         &ks[src.clone()],
                         width,
                         dq.k,
                         dq.head_dim,
                     );
-                    widen_rows_scaled(
-                        &mut v_out[i * width..j * width],
-                        &vs[src],
-                        width,
-                        dq.v,
-                        dq.head_dim,
-                    );
+                    widen_rows_scaled(&mut v_out[dst], &vs[src], width, dq.v, dq.head_dim);
                 }
             }
-            i = j;
+            self.stats
+                .record_run(run.len(), 2 * width * T::DTYPE.size_bytes());
         }
-        self.stats.rows += n;
-        self.stats.global_bytes += 2 * n * width * T::DTYPE.size_bytes();
-        self.stats.scattered_runs += runs - contiguous;
-        self.stats.contiguous_runs += contiguous;
     }
 
     /// Accumulated statistics.

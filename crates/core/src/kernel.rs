@@ -24,17 +24,26 @@
 //! The hot path is allocation-free: all intermediate buffers live in a
 //! caller-owned [`KernelScratch`]
 //! ([`FlashKernel::run_block_row_chunk_scratch`] /
-//! [`FlashKernel::run_with_scratch`]), each KV chunk is staged once at full
-//! kv width and shared by every query head of every group, and the inner
-//! loops run on the blocked microkernels in `fi_tensor::numerics`
-//! (`dot`/`axpy`/`scale_add`).
+//! [`FlashKernel::run_with_scratch`]). Per (KV chunk, KV head) the work is
+//! three passes over a logits tile — a QKᵀ block for every query row and
+//! group head that shares the KV head (Appendix A fusion: a key row is
+//! loaded once for the whole group), one mask/transform/max/exp pass per
+//! row, and a PV block with the accumulator held in registers — on the
+//! block microkernels in `fi_tensor::numerics`
+//! (`dot_block`/`row_max`/`axpy_block`). Their operands are `(slice, row
+//! stride)` views: straight into the pool when its rows can be used as
+//! they lie (§3.2.1's dense path), else into a tile staged once per chunk
+//! at full kv width.
+
+use std::borrow::Cow;
 
 use fi_sparse::BlockSparseMatrix;
+use fi_tensor::numerics::{self, RowView};
 use fi_tensor::{RaggedTensor, Scalar, Tensor};
 
 use crate::config::HeadConfig;
 use crate::error::AttentionError;
-use crate::gather::{DequantScales, GatherStats, Stager};
+use crate::gather::{slot_runs, DequantScales, GatherStats, Stager};
 use crate::scratch::KernelScratch;
 use crate::tiles::TileConfig;
 use crate::variant::{AttentionVariant, KeyCtx, LogitCtx, QueryCtx, VariantParams};
@@ -70,8 +79,11 @@ pub struct AttentionProblem<'a, TQ, TKV> {
     kv_pos_offsets: Vec<usize>,
     /// Per-KV-head `(k_scales, v_scales)` applied during staging — the
     /// dequantize-on-stage path of the quantized KV modes (Appendix F).
-    kv_dequant: Option<(Vec<f32>, Vec<f32>)>,
+    kv_dequant: Option<(Scales<'a>, Scales<'a>)>,
 }
+
+/// Per-KV-head scales, owned by the problem or borrowed for its lifetime.
+type Scales<'a> = Cow<'a, [f32]>;
 
 impl<'a, TQ: Scalar, TKV: Scalar> AttentionProblem<'a, TQ, TKV> {
     /// Assemble and validate a problem.
@@ -150,15 +162,20 @@ impl<'a, TQ: Scalar, TKV: Scalar> AttentionProblem<'a, TQ, TKV> {
     /// first and rescaling after, which is what the `DequantScale`
     /// variant wrapper in `fi_core::quant` computes.
     ///
+    /// The scales may be owned (`Vec<f32>`) or borrowed for the problem's
+    /// lifetime (`&[f32]`, what a worker launching many problems over one
+    /// arena passes).
+    ///
     /// # Errors
     ///
     /// Returns [`AttentionError::InvalidProblem`] when either scale
     /// vector's length differs from the head config's KV head count.
     pub fn with_kv_dequant(
         mut self,
-        k_scales: Vec<f32>,
-        v_scales: Vec<f32>,
+        k_scales: impl Into<Scales<'a>>,
+        v_scales: impl Into<Scales<'a>>,
     ) -> Result<Self, AttentionError> {
+        let (k_scales, v_scales) = (k_scales.into(), v_scales.into());
         for (name, s) in [("k", &k_scales), ("v", &v_scales)] {
             if s.len() != self.heads.num_kv_heads {
                 return Err(AttentionError::InvalidProblem(format!(
@@ -310,11 +327,11 @@ pub(crate) fn ragged_span_entries(
 pub struct KernelStats {
     /// Multiply-add FLOPs executed (QK^T and PV GEMMs).
     pub flops: u64,
-    /// Bytes moved from "global memory": staged KV plus Q reads and O
+    /// Bytes moved from "global memory": KV rows read plus Q reads and O
     /// writes. Reflects head-group fusion (unfused multiplies KV traffic by
     /// the group size — Appendix A).
     pub global_bytes: u64,
-    /// KV tiles staged.
+    /// KV chunks consumed (staged tiles or in-place reads).
     pub kv_tiles: u64,
     /// Tiles executed on the tensor-core path (`Tq >= 16`).
     pub tensor_core_tiles: u64,
@@ -330,9 +347,9 @@ impl KernelStats {
     /// executors (sequential, parallel, cascade) fold through this one
     /// method so per-chunk accounting composes identically everywhere.
     ///
-    /// Counters are per *staged* tile: under stage-once-across-heads a chunk
-    /// contributes one `kv_tiles` (and one tensor/CUDA-core tile) per KV
-    /// chunk, not one per kv head.
+    /// Counters are per KV chunk, staged or read in place: a chunk
+    /// contributes one `kv_tiles` (and one tensor/CUDA-core tile), not one
+    /// per kv head.
     pub fn absorb(&mut self, other: &KernelStats) {
         self.flops += other.flops;
         self.global_bytes += other.global_bytes;
@@ -473,12 +490,15 @@ impl FlashKernel {
     /// [`KernelScratch::out_o`] / [`KernelScratch::out_lse`]; the
     /// contraction step applies `output_transform` after merging all chunks.
     ///
-    /// Each KV chunk is staged ONCE at full kv width (`num_kv_heads * D`)
-    /// and its key/value transforms applied once, then consumed by all
-    /// `num_kv_heads × group_size` query heads — the §3.2.1 staged-tile
-    /// discipline. Scratch buffers are only ever `clear()`ed and re-grown,
-    /// so after warmup (largest shape seen) the call performs zero heap
-    /// allocations; see `crates/core/tests/alloc_free.rs`.
+    /// Each KV chunk is consumed by all `num_kv_heads × group_size` query
+    /// heads before the next is touched: read in place from an f32 pool
+    /// when the problem has no dequant scales and the variant reports
+    /// identity key/value transforms, else staged ONCE at full kv width
+    /// (`num_kv_heads * D`) with those transforms applied once — the
+    /// §3.2.1 dense and staged-tile paths; the module docs have the loop.
+    /// Scratch buffers are only ever `clear()`ed and re-grown, so after
+    /// warmup (largest shape seen) the call performs zero heap allocations;
+    /// see `crates/core/tests/alloc_free.rs`.
     ///
     /// # Errors
     ///
@@ -512,6 +532,18 @@ impl FlashKernel {
         let (rs, re) = layout.block_row_range(block_row);
         let n_rows = re - rs;
         let softmax = variant.use_softmax();
+        let KernelScratch {
+            slots,
+            q_rows,
+            m,
+            l,
+            acc,
+            k_tile,
+            v_tile,
+            logits,
+            out_o,
+            out_lse,
+        } = scratch;
 
         // Timeline position of the chunk's first slot = block row offset +
         // slots of the skipped leading blocks.
@@ -519,26 +551,38 @@ impl FlashKernel {
         let base_pos = problem.kv_pos_offsets[block_row] + lead;
 
         // Gather list for the chunk (reused scratch, overwritten).
-        scratch.slots.clear();
+        slots.clear();
         for b in &blocks[kv_blocks.clone()] {
             let base = b.col_block * layout.bc();
-            scratch.slots.extend(base..base + b.len);
+            slots.extend(base..base + b.len);
         }
+
+        // States are kept KV-head-major while the chunk runs: the
+        // `n_rows * group` states that share a KV head are the contiguous
+        // query rows of that head's QK^T blocks.
+        let group = heads.group_size();
+        let per_head = n_rows * group;
+        let n_states = n_rows * heads.num_qo_heads;
+        let state_of = |row_i: usize, qo_head: usize| {
+            (heads.kv_head_of(qo_head) * n_rows + row_i) * group + qo_head % group
+        };
 
         // Pre-transform all query rows once per (row, qo_head), widening
         // straight into the scratch buffer.
-        scratch.q_rows.clear();
+        q_rows.clear();
+        q_rows.resize(n_states * d, 0.0);
         for row in rs..re {
             let meta = problem.row_meta[row];
             let qsrc = problem.q.global_row(row);
             for h in 0..heads.num_qo_heads {
-                let start = scratch.q_rows.len();
-                scratch
-                    .q_rows
-                    .extend(qsrc[h * d..(h + 1) * d].iter().map(|&x| x.to_f32()));
+                let at = state_of(row - rs, h) * d;
+                let dst = &mut q_rows[at..at + d];
+                for (x, &src) in dst.iter_mut().zip(&qsrc[h * d..(h + 1) * d]) {
+                    *x = src.to_f32();
+                }
                 variant.query_transform(
                     params,
-                    &mut scratch.q_rows[start..start + d],
+                    dst,
                     QueryCtx {
                         batch_idx: meta.batch_idx,
                         qo_pos: meta.qo_pos,
@@ -550,14 +594,13 @@ impl FlashKernel {
             }
         }
 
-        // Online-softmax accumulators per (row, qo_head).
-        let n_states = n_rows * heads.num_qo_heads;
-        scratch.m.clear();
-        scratch.m.resize(n_states, f32::NEG_INFINITY);
-        scratch.l.clear();
-        scratch.l.resize(n_states, 0.0);
-        scratch.acc.clear();
-        scratch.acc.resize(n_states * d, 0.0);
+        // Online-softmax accumulators per state.
+        m.clear();
+        m.resize(n_states, f32::NEG_INFINITY);
+        l.clear();
+        l.resize(n_states, 0.0);
+        acc.clear();
+        acc.resize(n_states * d, 0.0);
         let mut stats = KernelStats::default();
         let mut stager = Stager::new();
 
@@ -565,125 +608,174 @@ impl FlashKernel {
         // transforms must not depend on batch identity when a tall prefix
         // block row spans requests (they never do for the built-in variants).
         let key_meta = problem.row_meta[rs];
+        let key_ctx = |kv_pos: usize, kv_head: usize| KeyCtx {
+            batch_idx: key_meta.batch_idx,
+            kv_pos,
+            kv_head_idx: kv_head,
+            kv_len: key_meta.kv_len,
+        };
 
-        // Chunk loop, chunks OUTER: each KV chunk is staged once at full kv
-        // width and consumed by every query head before the next chunk is
-        // touched. Per state the chunk sequence is still strictly ascending,
-        // so the online-softmax recurrence sees the exact same update order
-        // (and therefore the same bits) as a per-head pass would.
-        let tkv = self.tile.tkv.max(1);
+        // The operand view: pool rows are read where they lie when they
+        // already are what the block kernels consume — f32 storage, no
+        // dequant scale to apply, no key/value transform to run. Anything
+        // else is staged, transformed once, and viewed in the tile.
         let kw = heads.kv_width();
+        let pool = TKV::as_f32_slice(problem.k.as_slice())
+            .zip(TKV::as_f32_slice(problem.v.as_slice()))
+            .filter(|_| problem.kv_dequant.is_none() && variant.kv_transforms_are_identity());
+        let row_bytes = 2 * kw * TKV::DTYPE.size_bytes();
+
+        // Chunk loop, chunks OUTER: each KV chunk is consumed by every
+        // query head before the next chunk is touched. Per state the chunk
+        // sequence is still strictly ascending, so the online-softmax
+        // recurrence sees the exact same update order (and therefore the
+        // same bits) as a per-head pass would.
+        let tkv = self.tile.tkv.max(1).min(slots.len());
+        logits.clear();
+        logits.resize(per_head * tkv, 0.0);
         let mut chunk_start = 0usize;
-        while chunk_start < scratch.slots.len() {
-            let chunk_end = (chunk_start + tkv).min(scratch.slots.len());
+        while chunk_start < slots.len() {
+            let chunk_end = (chunk_start + tkv).min(slots.len());
             let n_chunk = chunk_end - chunk_start;
-            stager.stage_rows_into(
-                problem.k,
-                problem.v,
-                &scratch.slots[chunk_start..chunk_end],
-                kw,
-                &mut scratch.k_tile,
-                &mut scratch.v_tile,
-                problem.kv_dequant.as_ref().map(|(ks, vs)| DequantScales {
-                    k: ks,
-                    v: vs,
-                    head_dim: d,
-                }),
-            );
-            // Key/value transforms once per (slot, kv_head) — never repeated
-            // across the query heads of a group.
-            for j in 0..n_chunk {
-                let kv_pos = base_pos + chunk_start + j;
-                for kv_head in 0..heads.num_kv_heads {
-                    let kctx = KeyCtx {
-                        batch_idx: key_meta.batch_idx,
-                        kv_pos,
-                        kv_head_idx: kv_head,
-                        kv_len: key_meta.kv_len,
-                    };
-                    let at = j * kw + kv_head * d;
-                    variant.key_transform(params, &mut scratch.k_tile[at..at + d], kctx);
-                    variant.value_transform(params, &mut scratch.v_tile[at..at + d], kctx);
+            let chunk = &slots[chunk_start..chunk_end];
+            let chunk_pos = base_pos + chunk_start;
+            let (k_src, v_src) = match pool {
+                Some(pool) => {
+                    for run in slot_runs(chunk) {
+                        stats.gather.record_run(run.len(), row_bytes);
+                    }
+                    debug_assert!(
+                        (0..heads.num_kv_heads).all(|kv_head| {
+                            let head =
+                                chunk[0] * kw + kv_head * d..chunk[0] * kw + (kv_head + 1) * d;
+                            let ctx = key_ctx(chunk_pos, kv_head);
+                            let k_kept = unchanged(&pool.0[head.clone()], k_tile, |row| {
+                                variant.key_transform(params, row, ctx)
+                            });
+                            k_kept
+                                && unchanged(&pool.1[head], k_tile, |row| {
+                                    variant.value_transform(params, row, ctx)
+                                })
+                        }),
+                        "variant {} claims identity key/value transforms but rewrites rows",
+                        variant.name()
+                    );
+                    pool
                 }
-            }
-
-            // Logits + online update for every (row, qo_head) against the
-            // shared staged tile.
-            for row_i in 0..n_rows {
-                let meta = problem.row_meta[rs + row_i];
-                for qo_head in 0..heads.num_qo_heads {
-                    let kv_head = heads.kv_head_of(qo_head);
-                    let si = row_i * heads.num_qo_heads + qo_head;
-                    let qv = &scratch.q_rows[si * d..(si + 1) * d];
-
-                    // Chunk-local max for the update.
-                    let mut new_m = scratch.m[si];
-                    scratch.logits.clear();
+                None => {
+                    stager.stage_rows_into(
+                        problem.k,
+                        problem.v,
+                        chunk,
+                        kw,
+                        k_tile,
+                        v_tile,
+                        problem.kv_dequant.as_ref().map(|(ks, vs)| DequantScales {
+                            k: ks,
+                            v: vs,
+                            head_dim: d,
+                        }),
+                    );
+                    // Key/value transforms once per (slot, kv_head) — never
+                    // repeated across the query heads of a group.
                     for j in 0..n_chunk {
-                        let kv_pos = base_pos + chunk_start + j;
-                        let lctx = LogitCtx {
+                        for kv_head in 0..heads.num_kv_heads {
+                            let at = j * kw + kv_head * d;
+                            let ctx = key_ctx(chunk_pos + j, kv_head);
+                            variant.key_transform(params, &mut k_tile[at..at + d], ctx);
+                            variant.value_transform(params, &mut v_tile[at..at + d], ctx);
+                        }
+                    }
+                    (&k_tile[..], &v_tile[..])
+                }
+            };
+
+            for kv_head in 0..heads.num_kv_heads {
+                // (a) QK^T: every state of this KV head against the chunk.
+                let q = RowView::new(&q_rows[kv_head * per_head * d..], d, per_head, d);
+                for (seg, first) in segments(chunk, pool.is_some()) {
+                    let k = RowView::new(&k_src[first * kw + kv_head * d..], kw, seg.len(), d);
+                    numerics::dot_block(q, k, &mut logits[seg.start..], tkv);
+                }
+
+                // (b) Per state: mask and transform the row; then, for
+                // softmax, the running max, the weights `exp(t - m)` —
+                // libm's `exp` keeps no vector register, so it runs as a
+                // pass of its own rather than inside (c) — and the first
+                // visible key, which carries the old accumulator's rescale.
+                for s in 0..per_head {
+                    let (row_i, qo_head) = (s / group, kv_head * group + s % group);
+                    let meta = problem.row_meta[rs + row_i];
+                    let si = kv_head * per_head + s;
+                    let row = &mut logits[s * tkv..][..n_chunk];
+                    variant.logits_row(
+                        params,
+                        LogitCtx {
                             batch_idx: meta.batch_idx,
                             qo_pos: meta.qo_pos,
-                            kv_pos,
+                            kv_pos: chunk_pos,
                             qo_head_idx: qo_head,
                             kv_head_idx: kv_head,
                             qo_len: meta.qo_len,
                             kv_len: meta.kv_len,
-                        };
-                        if !variant.logits_mask(params, lctx) {
-                            scratch.logits.push(f32::NEG_INFINITY);
-                            continue;
+                        },
+                        row,
+                    );
+                    if !softmax {
+                        // A zero weight adds nothing: skip it like a mask.
+                        for w in row.iter_mut().filter(|w| **w == 0.0) {
+                            *w = f32::NEG_INFINITY;
                         }
-                        let at = j * kw + kv_head * d;
-                        let raw = fi_tensor::numerics::dot(qv, &scratch.k_tile[at..at + d]);
-                        let t = variant.logits_transform(params, raw, lctx);
-                        if softmax {
-                            new_m = new_m.max(t);
-                        }
-                        scratch.logits.push(t);
+                        continue;
                     }
-
-                    if softmax {
-                        if new_m == f32::NEG_INFINITY {
-                            continue; // fully masked chunk
-                        }
-                        // The fused exp/rescale/accumulate pass: the old
-                        // accumulator's rescale folds into its first touch
-                        // (bit-identical to a separate scale pass; new_m
-                        // finite guarantees at least one unmasked position
-                        // consumes it).
-                        let rescale = if scratch.m[si] == f32::NEG_INFINITY {
-                            0.0
-                        } else {
-                            (scratch.m[si] - new_m).exp()
-                        };
-                        scratch.m[si] = new_m;
-                        scratch.l[si] = fi_tensor::numerics::exp_scale_accumulate(
-                            &scratch.logits,
-                            new_m,
-                            rescale,
-                            scratch.l[si],
-                            &scratch.v_tile,
-                            kw,
-                            kv_head * d,
-                            &mut scratch.acc[si * d..(si + 1) * d],
-                        );
+                    let new_m = m[si].max(numerics::row_max(row));
+                    if new_m == f32::NEG_INFINITY {
+                        // Nothing visible yet (a NaN counts as nothing, as
+                        // it does to `f32::max`): (c) must skip the row.
+                        row.fill(f32::NEG_INFINITY);
+                        continue;
+                    }
+                    let rescale = if m[si] == f32::NEG_INFINITY {
+                        0.0
                     } else {
-                        for (j, &w) in scratch.logits.iter().enumerate() {
-                            if w == f32::NEG_INFINITY || w == 0.0 {
-                                continue;
-                            }
-                            let vv = &scratch.v_tile[j * kw + kv_head * d..][..d];
-                            let a = &mut scratch.acc[si * d..(si + 1) * d];
-                            fi_tensor::numerics::axpy(w, vv, a);
-                        }
+                        (m[si] - new_m).exp()
+                    };
+                    m[si] = new_m;
+                    let mut l_new = l[si] * rescale;
+                    for t in row.iter_mut().filter(|t| **t != f32::NEG_INFINITY) {
+                        *t = (*t - new_m).exp();
+                        l_new += *t;
                     }
+                    l[si] = l_new;
+                    // The `exp(m_old - m_new)` rescale of the accumulator
+                    // folds into its first touch — two multiplies and an
+                    // add on the first visible key, which (c) then skips.
+                    let acc_row = &mut acc[si * d..(si + 1) * d];
+                    match row.iter().position(|&p| p != f32::NEG_INFINITY) {
+                        Some(j) => {
+                            let src = if pool.is_some() { chunk[j] } else { j };
+                            let v_row = &v_src[src * kw + kv_head * d..][..d];
+                            numerics::scale_add(rescale, row[j], v_row, acc_row);
+                            row[j] = f32::NEG_INFINITY;
+                        }
+                        None => numerics::scale(acc_row, rescale),
+                    }
+                }
+
+                // (c) PV: every state of the head against each run of keys,
+                // masked weights skipped, each accumulator row held in
+                // registers across the run.
+                let acc_head = &mut acc[kv_head * per_head * d..][..per_head * d];
+                for (seg, first) in segments(chunk, pool.is_some()) {
+                    let w = RowView::new(&logits[seg.start..], tkv, per_head, seg.len());
+                    let v = RowView::new(&v_src[first * kw + kv_head * d..], kw, seg.len(), d);
+                    numerics::axpy_block(w, v, acc_head, d);
                 }
             }
 
             // Tile accounting: QK^T + PV over every query head that
-            // consumed the staged tile, 2 FLOPs per MAC; ONE kv tile per
-            // staged chunk (not one per kv head).
+            // consumed the chunk, 2 FLOPs per MAC; ONE kv tile per chunk
+            // (not one per kv head).
             stats.flops += 2 * 2 * (n_rows * heads.num_qo_heads * n_chunk * d) as u64;
             stats.kv_tiles += 1;
             if self.tile.uses_tensor_cores() {
@@ -694,39 +786,42 @@ impl FlashKernel {
             chunk_start = chunk_end;
         }
 
-        // Gather traffic: staged bytes; without head fusion each query head
-        // would re-stage its group's KV (group_size x traffic).
-        let mut g = stager.stats();
+        // Gather traffic: bytes read from the pool, staged or in place;
+        // without head fusion each query head would re-read its group's KV
+        // (group_size x traffic).
+        stats.gather.absorb(&stager.stats());
         if !self.head_fusion {
-            let gs = heads.group_size();
-            g.global_bytes *= gs;
-            g.rows *= gs;
-            g.contiguous_runs *= gs;
-            g.scattered_runs *= gs;
+            let g = &mut stats.gather;
+            g.global_bytes *= group;
+            g.rows *= group;
+            g.contiguous_runs *= group;
+            g.scattered_runs *= group;
         }
-        stats.gather = g;
-        stats.global_bytes += g.global_bytes as u64;
+        stats.global_bytes += stats.gather.global_bytes as u64;
 
-        // Finalize chunk states into the scratch output buffers. The
-        // default fill (zeros, -inf) IS the ⊕ identity, so fully-masked
-        // states need no special case.
-        scratch.out_o.clear();
-        scratch.out_o.resize(n_states * d, 0.0);
-        scratch.out_lse.clear();
-        scratch.out_lse.resize(n_states, f32::NEG_INFINITY);
-        for si in 0..n_states {
-            let acc_row = &scratch.acc[si * d..(si + 1) * d];
-            let out_row = &mut scratch.out_o[si * d..(si + 1) * d];
-            if softmax {
-                if scratch.l[si] > 0.0 {
-                    let inv = 1.0 / scratch.l[si];
-                    for (o, &a) in out_row.iter_mut().zip(acc_row) {
-                        *o = a * inv;
+        // Finalize chunk states into the scratch output buffers, back in
+        // `[row, qo_head]` order. The default fill (zeros, -inf) IS the ⊕
+        // identity, so fully-masked states need no special case.
+        out_o.clear();
+        out_o.resize(n_states * d, 0.0);
+        out_lse.clear();
+        out_lse.resize(n_states, f32::NEG_INFINITY);
+        for row_i in 0..n_rows {
+            for h in 0..heads.num_qo_heads {
+                let (si, oi) = (state_of(row_i, h), row_i * heads.num_qo_heads + h);
+                let acc_row = &acc[si * d..(si + 1) * d];
+                let out_row = &mut out_o[oi * d..(oi + 1) * d];
+                if softmax {
+                    if l[si] > 0.0 {
+                        let inv = 1.0 / l[si];
+                        for (o, &a) in out_row.iter_mut().zip(acc_row) {
+                            *o = a * inv;
+                        }
+                        out_lse[oi] = m[si] + l[si].ln();
                     }
-                    scratch.out_lse[si] = scratch.m[si] + scratch.l[si].ln();
+                } else {
+                    out_row.copy_from_slice(acc_row);
                 }
-            } else {
-                out_row.copy_from_slice(acc_row);
             }
         }
         Ok(ChunkMeta {
@@ -736,6 +831,29 @@ impl FlashKernel {
             stats,
         })
     }
+}
+
+/// A chunk's keys as runs of consecutive source rows, `(range within the
+/// chunk, first source row)`: the pool's slot runs when the chunk is read
+/// in place, the whole staged tile otherwise.
+fn segments(
+    chunk: &[usize],
+    in_place: bool,
+) -> impl Iterator<Item = (std::ops::Range<usize>, usize)> + '_ {
+    let staged = (!in_place).then_some((0..chunk.len(), 0));
+    slot_runs(if in_place { chunk } else { &[] })
+        .map(move |run| (run.clone(), chunk[run.start]))
+        .chain(staged)
+}
+
+/// Whether `transform`, run on a copy of `row` made in `tmp`, changes no
+/// bit: the debug check of
+/// [`AttentionVariant::kv_transforms_are_identity`].
+fn unchanged(row: &[f32], tmp: &mut Vec<f32>, transform: impl FnOnce(&mut [f32])) -> bool {
+    tmp.clear();
+    tmp.extend_from_slice(row);
+    transform(tmp);
+    tmp.iter().zip(row).all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
 #[cfg(test)]
@@ -1120,6 +1238,42 @@ mod tests {
         assert!(kern
             .run_block_row_chunk_scratch(&problem, &v1, &params, 0, 0..2, &mut scratch)
             .is_err());
+    }
+
+    /// Rewrites key rows while claiming it does not.
+    #[cfg(debug_assertions)]
+    struct Liar;
+
+    #[cfg(debug_assertions)]
+    impl AttentionVariant for Liar {
+        fn name(&self) -> &str {
+            "liar"
+        }
+
+        fn key_transform(&self, _params: &VariantParams, k: &mut [f32], _ctx: KeyCtx) {
+            k[0] += 1.0;
+        }
+
+        fn kv_transforms_are_identity(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "claims identity key/value transforms")]
+    fn false_identity_claim_is_caught_in_debug_builds() {
+        let heads = HeadConfig::new(1, 1, 4).unwrap();
+        let q = filled_ragged(&[1], 4, |i| i as f32);
+        let k = Tensor::<f32>::from_fn(vec![4, 4], |i| i as f32 * 0.1);
+        let layout = dense_layout(1, 4, 1);
+        let problem = AttentionProblem::standard_batch(&q, &k, &k, &layout, heads, &[4]).unwrap();
+        let kern = FlashKernel {
+            tile: TileConfig { tq: 1, tkv: 4 },
+            head_fusion: true,
+        };
+        let params = VariantParams::for_head_dim(4);
+        let _ = kern.run_with_scratch(&problem, &Liar, &params, &mut KernelScratch::new());
     }
 
     #[test]

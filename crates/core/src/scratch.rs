@@ -2,9 +2,15 @@
 //! shared-memory allocation.
 //!
 //! The FA2-style kernel's working set — gather slot list, transformed query
-//! tile, online-softmax accumulators (`m`/`l`/`acc`), staged K/V tiles,
-//! logits, and the finalized per-state outputs — lives in one per-thread
-//! [`KernelScratch`]. Buffers are grown monotonically with
+//! tile, online-softmax accumulators (`m`/`l`/`acc`), staged K/V tiles
+//! (untouched when KV rows are read in place from the pool), the logits
+//! tile of one KV head, and the finalized per-state outputs — lives in one
+//! per-thread [`KernelScratch`].
+//!
+//! While a chunk runs, per-state buffers are ordered **KV-head-major**,
+//! `[kv_head][row][head in group]`, so the states that share a KV head —
+//! the query rows of one QKᵀ block — are contiguous; the finalized
+//! outputs are written back in the public `[row][qo_head]` order. Buffers are grown monotonically with
 //! `clear()`/`resize()` (capacity is never released, mirroring the plan/run
 //! workspace contract), so after a warmup call the hot path
 //! [`crate::kernel::FlashKernel::run_block_row_chunk_scratch`] performs zero
@@ -29,19 +35,21 @@ use crate::state::AttentionState;
 pub struct KernelScratch {
     /// Gathered KV slot indices for the current block row chunk.
     pub(crate) slots: Vec<usize>,
-    /// Query rows after `query_transform`, `[n_states, d]` row-major.
+    /// Query rows after `query_transform`, `[n_states, d]`, KV-head-major.
     pub(crate) q_rows: Vec<f32>,
-    /// Online-softmax running maxima, one per state.
+    /// Online-softmax running maxima, one per state, KV-head-major.
     pub(crate) m: Vec<f32>,
-    /// Online-softmax running denominators, one per state.
+    /// Online-softmax running denominators, one per state, KV-head-major.
     pub(crate) l: Vec<f32>,
-    /// Unnormalized output accumulators, `[n_states, d]` row-major.
+    /// Unnormalized output accumulators, `[n_states, d]`, KV-head-major.
     pub(crate) acc: Vec<f32>,
-    /// Staged K tile, full kv width (`num_kv_heads * d`) per slot.
+    /// Staged K tile, full kv width (`num_kv_heads * d`) per slot. Stays
+    /// empty while every chunk is read in place.
     pub(crate) k_tile: Vec<f32>,
     /// Staged V tile, full kv width per slot.
     pub(crate) v_tile: Vec<f32>,
-    /// Per-(state, chunk) logits buffer.
+    /// Logits of one (KV chunk, KV head): `[states of the head, tkv]`,
+    /// raw `q·k` first, then masked/transformed, then softmax weights.
     pub(crate) logits: Vec<f32>,
     /// Finalized outputs of the last chunk, `[n_states, d]` row-major.
     pub(crate) out_o: Vec<f32>,

@@ -180,6 +180,40 @@ pub trait AttentionVariant: Send + Sync {
         true
     }
 
+    /// Mask and transform one row of raw logits in place: `logits[j]` is
+    /// the `q·k` of the pair at `first` with `kv_pos` advanced by `j`, and
+    /// becomes `NEG_INFINITY` where [`AttentionVariant::logits_mask`]
+    /// removes the pair, else its
+    /// [`AttentionVariant::logits_transform`] (never called on a masked
+    /// pair).
+    ///
+    /// This is what the kernel calls — once per (query row, head, KV
+    /// chunk) — so that behind a `dyn AttentionVariant` the two per-logit
+    /// hooks are dispatched statically and inlined. Implement those;
+    /// leave this body alone.
+    fn logits_row(&self, params: &VariantParams, first: LogitCtx, logits: &mut [f32]) {
+        for (j, logit) in logits.iter_mut().enumerate() {
+            let ctx = LogitCtx {
+                kv_pos: first.kv_pos + j,
+                ..first
+            };
+            *logit = if self.logits_mask(params, ctx) {
+                self.logits_transform(params, *logit, ctx)
+            } else {
+                f32::NEG_INFINITY
+            };
+        }
+    }
+
+    /// `true` promises that [`AttentionVariant::key_transform`] and
+    /// [`AttentionVariant::value_transform`] change nothing, which lets
+    /// the kernel read f32 KV rows in place from the pool instead of
+    /// staging a copy for the transforms to write into. The default makes
+    /// no promise, so a variant that does not say is staged.
+    fn kv_transforms_are_identity(&self) -> bool {
+        false
+    }
+
     /// Transform the final (normalized) output row.
     fn output_transform(&self, params: &VariantParams, o: &mut [f32], ctx: QueryCtx) {
         let _ = (params, o, ctx);
@@ -204,6 +238,10 @@ impl AttentionVariant for VanillaAttention {
 
     fn logits_mask(&self, _params: &VariantParams, ctx: LogitCtx) -> bool {
         !self.causal || ctx.causally_visible()
+    }
+
+    fn kv_transforms_are_identity(&self) -> bool {
+        true
     }
 }
 
@@ -232,6 +270,10 @@ impl AttentionVariant for SlidingWindowAttention {
         let q = ctx.absolute_qo_pos();
         ctx.kv_pos < self.sink_tokens || q - ctx.kv_pos < self.window
     }
+
+    fn kv_transforms_are_identity(&self) -> bool {
+        true
+    }
 }
 
 /// Logits soft-capping, as used by Gemma-2 and Grok-1:
@@ -253,6 +295,10 @@ impl AttentionVariant for SoftCapAttention {
 
     fn logits_mask(&self, _params: &VariantParams, ctx: LogitCtx) -> bool {
         ctx.causally_visible()
+    }
+
+    fn kv_transforms_are_identity(&self) -> bool {
+        true
     }
 }
 
@@ -277,6 +323,10 @@ impl AttentionVariant for SigmoidAttention {
 
     fn logits_mask(&self, _params: &VariantParams, ctx: LogitCtx) -> bool {
         ctx.causally_visible()
+    }
+
+    fn kv_transforms_are_identity(&self) -> bool {
+        true
     }
 }
 
@@ -337,6 +387,10 @@ impl AttentionVariant for CustomMaskAttention {
         // Out-of-shape pairs (mask smaller than the layout) are invisible.
         ctx.qo_pos < m.rows() && ctx.kv_pos < m.cols() && m.is_nonzero(ctx.qo_pos, ctx.kv_pos)
     }
+
+    fn kv_transforms_are_identity(&self) -> bool {
+        true
+    }
 }
 
 /// ALiBi: causal attention with a per-head linear distance bias
@@ -378,6 +432,10 @@ impl AttentionVariant for AlibiAttention {
 
     fn logits_mask(&self, _params: &VariantParams, ctx: LogitCtx) -> bool {
         ctx.causally_visible()
+    }
+
+    fn kv_transforms_are_identity(&self) -> bool {
+        true
     }
 }
 
@@ -525,6 +583,36 @@ mod tests {
         // Slopes decrease geometrically.
         assert!(v.slope(0) > v.slope(7));
         assert!((v.slope(0) - 2f32.powf(-1.0)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn logits_row_masks_then_transforms_each_position() {
+        let v = SoftCapAttention { cap: 4.0 };
+        let p = VariantParams::for_head_dim(16);
+        // Query 0 of 2 over kv_len 6 sits at absolute position 4; the row
+        // starts at kv_pos 3, so its last entry (kv_pos 5) is masked.
+        let first = lctx(0, 3, 2, 6);
+        let raw = [0.8f32, -1.3, 2.1];
+        let mut row = raw;
+        v.logits_row(&p, first, &mut row);
+        for (j, (&got, &x)) in row.iter().zip(&raw).enumerate() {
+            let ctx = lctx(0, 3 + j, 2, 6);
+            let want = if v.logits_mask(&p, ctx) {
+                v.logits_transform(&p, x, ctx)
+            } else {
+                f32::NEG_INFINITY
+            };
+            assert_eq!(got.to_bits(), want.to_bits(), "position {j}");
+        }
+        assert_eq!(row[2], f32::NEG_INFINITY);
+    }
+
+    #[test]
+    fn only_rope_rewrites_kv_rows() {
+        assert!(VanillaAttention { causal: true }.kv_transforms_are_identity());
+        assert!(SigmoidAttention.kv_transforms_are_identity());
+        assert!(AlibiAttention::new(4).kv_transforms_are_identity());
+        assert!(!FusedRopeAttention::new(8).kv_transforms_are_identity());
     }
 
     #[test]

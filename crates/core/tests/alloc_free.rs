@@ -68,70 +68,120 @@ fn dense_layout(l_qo: usize, l_kv: usize, tq: usize, bc: usize) -> BlockSparseMa
     BlockSparseMatrix::new(l_qo, l_kv, bc, rows).unwrap()
 }
 
+/// One problem shape the hot path is exercised on.
+struct Input {
+    what: &'static str,
+    /// `(num_qo_heads, num_kv_heads, head_dim)`.
+    heads: (usize, usize, usize),
+    l_qo: usize,
+    l_kv: usize,
+    tile: TileConfig,
+}
+
+/// Page size of every layout.
+const PAGE: usize = 16;
+
 #[test]
 fn chunk_hot_path_is_allocation_free_after_warmup() {
-    // Standard decode-ish shape: GQA 4:2 heads, d=8, 64 KV slots.
-    let heads = HeadConfig::new(4, 2, 8).unwrap();
-    let params = VariantParams::for_head_dim(8);
+    let inputs = [
+        // Standard decode-ish shape: GQA 4:2 heads, d=8, 64 KV slots.
+        Input {
+            what: "two-row tiles, small heads",
+            heads: (4, 2, 8),
+            l_qo: 4,
+            l_kv: 64,
+            tile: TileConfig { tq: 2, tkv: 16 },
+        },
+        // A multi-row GQA prefill tile at the serving geometry: 16 rows x
+        // 4 group heads per KV head feed each QK^T / PV block.
+        Input {
+            what: "16-row GQA prefill tile",
+            heads: (8, 2, 64),
+            l_qo: 16,
+            l_kv: 160,
+            tile: TileConfig { tq: 16, tkv: 64 },
+        },
+        // A decode chunk: one query row, the group's 4 heads sharing each
+        // key row. Like the two above an f32 pool under a variant with
+        // identity key/value transforms, so every run is read in place.
+        Input {
+            what: "in-place decode chunk",
+            heads: (8, 2, 64),
+            l_qo: 1,
+            l_kv: 200,
+            tile: TileConfig { tq: 1, tkv: 64 },
+        },
+    ];
     let variant = VanillaAttention { causal: true };
-    let (l_qo, l_kv) = (4usize, 64usize);
-    let q = RaggedTensor::<f32>::from_seq_lens(&[l_qo], heads.qo_width());
-    let k = Tensor::<f32>::from_fn(vec![l_kv, heads.kv_width()], |i| ((i % 13) as f32) * 0.1);
-    let v = Tensor::<f32>::from_fn(vec![l_kv, heads.kv_width()], |i| ((i % 7) as f32) * 0.2);
-    let layout = dense_layout(l_qo, l_kv, 2, 16);
-    let problem = AttentionProblem::standard_batch(&q, &k, &v, &layout, heads, &[l_kv]).unwrap();
-    let kern = FlashKernel {
-        tile: TileConfig { tq: 2, tkv: 16 },
-        head_fusion: true,
-    };
-
+    // One scratch across all inputs, as a worker's is across its units.
     let mut scratch = KernelScratch::new();
-    // Warmup: the first calls grow every scratch buffer to its steady size.
-    for _ in 0..3 {
-        for br in 0..layout.n_block_rows() {
-            kern.run_block_row_chunk_scratch(&problem, &variant, &params, br, 0..4, &mut scratch)
-                .unwrap();
-        }
-    }
-    let cap_before = scratch.capacity_bytes();
-
-    // The counter is process-wide, and the libtest harness's own threads
-    // may allocate at any moment — one shared window over many
-    // iterations flakes whenever a harness allocation lands inside it.
-    // Measure several independent windows instead and require the *min*
-    // delta to be zero: a hot path that truly allocates does so in every
-    // window (the assertion still has teeth), while a stray concurrent
-    // allocation can only pollute the windows it overlaps.
-    let mut window_deltas = Vec::new();
-    for _ in 0..8 {
-        let before = ALLOC_CALLS.load(Ordering::SeqCst);
-        for _ in 0..10 {
+    for input in &inputs {
+        let (hq, hkv, d) = input.heads;
+        let heads = HeadConfig::new(hq, hkv, d).unwrap();
+        let params = VariantParams::for_head_dim(d);
+        let (l_qo, l_kv) = (input.l_qo, input.l_kv);
+        let q = RaggedTensor::<f32>::from_seq_lens(&[l_qo], heads.qo_width());
+        let k = Tensor::<f32>::from_fn(vec![l_kv, heads.kv_width()], |i| ((i % 13) as f32) * 0.1);
+        let v = Tensor::<f32>::from_fn(vec![l_kv, heads.kv_width()], |i| ((i % 7) as f32) * 0.2);
+        let layout = dense_layout(l_qo, l_kv, input.tile.tq, PAGE);
+        let problem =
+            AttentionProblem::standard_batch(&q, &k, &v, &layout, heads, &[l_kv]).unwrap();
+        let kern = FlashKernel {
+            tile: input.tile,
+            head_fusion: true,
+        };
+        let n_blocks = l_kv.div_ceil(PAGE);
+        let run_all = |scratch: &mut KernelScratch| {
             for br in 0..layout.n_block_rows() {
                 kern.run_block_row_chunk_scratch(
                     &problem,
                     &variant,
                     &params,
                     br,
-                    0..4,
-                    &mut scratch,
+                    0..n_blocks,
+                    scratch,
                 )
                 .unwrap();
             }
+        };
+
+        // Warmup: the first calls grow every scratch buffer to its steady
+        // size.
+        for _ in 0..3 {
+            run_all(&mut scratch);
         }
-        window_deltas.push(ALLOC_CALLS.load(Ordering::SeqCst) - before);
+        let cap_before = scratch.capacity_bytes();
+
+        // The counter is process-wide, and the libtest harness's own
+        // threads may allocate at any moment — one shared window over many
+        // iterations flakes whenever a harness allocation lands inside it.
+        // Measure several independent windows instead and require the
+        // *min* delta to be zero: a hot path that truly allocates does so
+        // in every window (the assertion still has teeth), while a stray
+        // concurrent allocation can only pollute the windows it overlaps.
+        let mut window_deltas = Vec::new();
+        for _ in 0..8 {
+            let before = ALLOC_CALLS.load(Ordering::SeqCst);
+            for _ in 0..10 {
+                run_all(&mut scratch);
+            }
+            window_deltas.push(ALLOC_CALLS.load(Ordering::SeqCst) - before);
+        }
+        assert_eq!(
+            window_deltas.iter().min().copied(),
+            Some(0),
+            "{}: steady-state run_block_row_chunk_scratch must not touch the heap \
+             (every window saw allocations: {window_deltas:?})",
+            input.what
+        );
+        assert_eq!(
+            scratch.capacity_bytes(),
+            cap_before,
+            "{}: scratch capacity must not grow at steady state",
+            input.what
+        );
+        // Sanity: the run actually computed something.
+        assert!(scratch.n_states() > 0);
+        assert!(scratch.out_lse().iter().any(|&l| l != f32::NEG_INFINITY));
     }
-    assert_eq!(
-        window_deltas.iter().min().copied(),
-        Some(0),
-        "steady-state run_block_row_chunk_scratch must not touch the heap \
-         (every window saw allocations: {window_deltas:?})"
-    );
-    assert_eq!(
-        scratch.capacity_bytes(),
-        cap_before,
-        "scratch capacity must not grow at steady state"
-    );
-    // Sanity: the run actually computed something.
-    assert!(scratch.n_states() > 0);
-    assert!(scratch.out_lse().iter().any(|&l| l != f32::NEG_INFINITY));
 }

@@ -2,11 +2,11 @@
 //! latency and planner/kernel metrics shared with the simulator.
 
 use fi_dist::CommStats;
-use fi_serving::{LatencySummary, ServingMetrics};
+use fi_serving::{LatencyHistogram, LatencySummary, ServingMetrics};
 
 /// TTFT/ITL digests for one run (or one tenant's slice of it): the
-/// sorted-once [`LatencySummary`] pair that replaces raw sample dumps as
-/// the runtime's latency reporting surface.
+/// [`LatencySummary`] pair that replaces raw sample dumps as the
+/// runtime's latency reporting surface.
 #[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RequestLatency {
     /// Time-to-first-token digest.
@@ -16,11 +16,12 @@ pub struct RequestLatency {
 }
 
 impl RequestLatency {
-    /// Digest raw TTFT and ITL sample sets (one sort each).
-    pub fn from_samples(ttft: &[f64], itl: &[f64]) -> RequestLatency {
+    /// Digest the TTFT samples (one per request: sorted once) and the ITL
+    /// histogram (one sample per token: never kept raw).
+    pub fn digest(ttft: &[f64], itl: &LatencyHistogram) -> RequestLatency {
         RequestLatency {
             ttft: LatencySummary::from_samples(ttft),
-            itl: LatencySummary::from_samples(itl),
+            itl: LatencySummary::from_histogram(itl),
         }
     }
 }
@@ -37,6 +38,9 @@ pub struct TenantLatency {
     pub completed: u64,
     /// TTFT/ITL digests over this tenant's samples.
     pub latency: RequestLatency,
+    /// What `latency.itl` digests, kept so that two replicas' slices of
+    /// one tenant merge exactly.
+    pub itl_histogram: LatencyHistogram,
 }
 
 /// Snapshot of a runtime run, returned by `Runtime::finish`.
@@ -80,10 +84,13 @@ pub struct RuntimeMetrics {
     /// groups, summed over workers. All-zero at `tensor_parallel == 1`
     /// (the unsharded path issues no collectives).
     pub comm: CommStats,
-    /// Whole-run TTFT/ITL digests (sorted once at drain) — the reporting
-    /// surface for latency; the raw sample vectors inside `serving` are
-    /// what [`RuntimeMetrics::merge`] re-digests across replicas.
+    /// Whole-run TTFT/ITL digests (made once at drain) — the reporting
+    /// surface for latency. What [`RuntimeMetrics::merge`] re-digests
+    /// across replicas is `serving.ttft` and `itl_histogram`.
     pub latency: RequestLatency,
+    /// Every inter-token gap of the run, in bounded memory. `serving.itl`
+    /// stays empty: the runtime keeps no raw per-token series.
+    pub itl_histogram: LatencyHistogram,
     /// Per-tenant latency digests, ascending by tenant tag. Only tenants
     /// that produced at least one first token appear.
     pub tenants: Vec<TenantLatency>,
@@ -128,13 +135,15 @@ impl RuntimeMetrics {
 
     /// Fold another runtime's report into this one (cluster rollup).
     ///
-    /// Lifecycle counters, KV pages, comm stats, and raw latency samples
-    /// sum; `peak_queue_depth` and `tensor_parallel` take the max
-    /// (replicas run in parallel, not in sequence). The whole-run
-    /// `latency` digest is **re-digested from the merged raw samples**,
-    /// so it is exact, not a percentile-of-percentiles approximation;
-    /// per-tenant digests have no raw samples to re-sort and use the
-    /// count-weighted [`LatencySummary::merge`] approximation instead.
+    /// Lifecycle counters, KV pages, comm stats, raw TTFT samples and ITL
+    /// histograms sum; `peak_queue_depth` and `tensor_parallel` take the
+    /// max (replicas run in parallel, not in sequence). The whole-run
+    /// `latency` digest and every tenant's ITL digest are **re-digested
+    /// from the merged samples / histograms**, so they are what one
+    /// runtime serving everything would have reported (ITL to the
+    /// bucket), not a percentile-of-percentiles approximation; only
+    /// per-tenant TTFT, of which no samples are kept, still uses the
+    /// count-weighted [`LatencySummary::merge`].
     /// Merging preserves [`RuntimeMetrics::reconciles`]: if both sides
     /// reconcile, the merged report does too.
     pub fn merge(&mut self, other: &RuntimeMetrics) {
@@ -153,13 +162,15 @@ impl RuntimeMetrics {
             self.kv_dtype = other.kv_dtype.clone();
         }
         self.comm.merge(&other.comm);
-        self.latency = RequestLatency::from_samples(&self.serving.ttft, &self.serving.itl);
+        self.itl_histogram.merge(&other.itl_histogram);
+        self.latency = RequestLatency::digest(&self.serving.ttft, &self.itl_histogram);
         for t in &other.tenants {
             match self.tenants.iter_mut().find(|x| x.tenant == t.tenant) {
                 Some(mine) => {
                     mine.completed += t.completed;
                     mine.latency.ttft = mine.latency.ttft.merge(&t.latency.ttft);
-                    mine.latency.itl = mine.latency.itl.merge(&t.latency.itl);
+                    mine.itl_histogram.merge(&t.itl_histogram);
+                    mine.latency.itl = LatencySummary::from_histogram(&mine.itl_histogram);
                 }
                 None => self.tenants.push(t.clone()),
             }
@@ -208,15 +219,21 @@ mod tests {
             kv_export_rows: 20,
             ..RuntimeMetrics::default()
         };
+        let histogram = |gaps: &[f64]| {
+            let mut h = LatencyHistogram::default();
+            gaps.iter().for_each(|&g| h.record(g));
+            h
+        };
         a.serving.completed = 2;
         a.serving.ttft = vec![1.0, 3.0];
-        a.serving.itl = vec![0.5];
+        a.itl_histogram = histogram(&[0.5]);
         a.serving.tokens_generated = 10;
-        a.latency = RequestLatency::from_samples(&a.serving.ttft, &a.serving.itl);
+        a.latency = RequestLatency::digest(&a.serving.ttft, &a.itl_histogram);
         a.tenants = vec![TenantLatency {
             tenant: 1,
             completed: 2,
             latency: a.latency,
+            itl_histogram: a.itl_histogram.clone(),
         }];
 
         let mut b = RuntimeMetrics {
@@ -235,21 +252,16 @@ mod tests {
         };
         b.serving.completed = 3;
         b.serving.ttft = vec![2.0, 4.0, 6.0];
-        b.serving.itl = vec![0.25, 0.75];
+        b.itl_histogram = histogram(&[0.25, 0.75]);
         b.serving.tokens_generated = 8;
-        b.latency = RequestLatency::from_samples(&b.serving.ttft, &b.serving.itl);
-        b.tenants = vec![
-            TenantLatency {
-                tenant: 0,
-                completed: 1,
-                latency: b.latency,
-            },
-            TenantLatency {
-                tenant: 1,
-                completed: 2,
-                latency: b.latency,
-            },
-        ];
+        b.latency = RequestLatency::digest(&b.serving.ttft, &b.itl_histogram);
+        let slice = |tenant: u32, ttft: &[f64], gaps: &[f64]| TenantLatency {
+            tenant,
+            completed: ttft.len() as u64,
+            latency: RequestLatency::digest(ttft, &histogram(gaps)),
+            itl_histogram: histogram(gaps),
+        };
+        b.tenants = vec![slice(0, &[2.0], &[0.25]), slice(1, &[4.0, 6.0], &[0.75])];
 
         assert!(a.reconciles() && b.reconciles());
         a.merge(&b);
@@ -265,17 +277,29 @@ mod tests {
         assert_eq!(a.kv_imports, 1);
         assert_eq!(a.kv_import_rows, 7);
 
-        // The whole-run digest is exact: identical to digesting the
-        // concatenated raw samples directly.
-        let exact = RequestLatency::from_samples(&[1.0, 3.0, 2.0, 4.0, 6.0], &[0.5, 0.25, 0.75]);
+        // The whole-run digest is what one runtime that saw every sample
+        // would report: TTFT from the concatenated raw samples, ITL from
+        // one histogram of all three gaps.
+        let exact =
+            RequestLatency::digest(&[1.0, 3.0, 2.0, 4.0, 6.0], &histogram(&[0.5, 0.25, 0.75]));
         assert_eq!(a.latency, exact);
+        assert_eq!(a.latency.itl.count, 3);
+        assert_eq!(a.latency.itl.max, 0.75);
+        assert!((a.latency.itl.p50 - 0.5).abs() <= 0.005 * 0.5);
+        assert!(a.serving.itl.is_empty(), "no raw per-token series");
 
-        // Tenants merged by tag, ascending.
+        // Tenants merged by tag, ascending; a tenant's ITL digest is that
+        // of its merged histogram, not an average of percentiles.
         let tags: Vec<u32> = a.tenants.iter().map(|t| t.tenant).collect();
         assert_eq!(tags, vec![0, 1]);
         assert_eq!(a.tenant(1).unwrap().completed, 4);
-        assert_eq!(a.tenant(1).unwrap().latency.ttft.count, 5);
+        assert_eq!(a.tenant(1).unwrap().latency.ttft.count, 4);
+        assert_eq!(
+            a.tenant(1).unwrap().latency.itl,
+            LatencySummary::from_histogram(&histogram(&[0.5, 0.75]))
+        );
         assert_eq!(a.tenant(0).unwrap().completed, 1);
+        assert_eq!(a.tenant(0).unwrap().latency.itl.count, 1);
     }
 
     #[test]

@@ -38,6 +38,7 @@ use fi_kvcache::{KvCacheError, PrefixMatch, RadixTree};
 use fi_serving::engine::{EngineConfig, PreemptionPolicy};
 use fi_serving::policy::{self, AdmissionCost, AdmissionVerdict};
 use fi_serving::workload::RequestSpec;
+use fi_serving::LatencyHistogram;
 use fi_sparse::page::PageTable;
 use fi_tensor::KvDtype;
 
@@ -607,10 +608,11 @@ struct Scheduler {
     /// terminal `Done` and any backlogged tokens); flushed opportunistically
     /// each loop iteration and bounded-flushed at shutdown.
     flushing: Vec<StreamOut>,
-    /// Per-tenant latency samples, digested into
-    /// [`RuntimeMetrics::tenants`] at drain.
+    /// Per-tenant latency — TTFT samples (one per request) and ITL
+    /// histograms (one sample per token, so never kept raw) — digested
+    /// into [`RuntimeMetrics::tenants`] at drain.
     tenant_ttft: HashMap<u32, Vec<f64>>,
-    tenant_itl: HashMap<u32, Vec<f64>>,
+    tenant_itl: HashMap<u32, LatencyHistogram>,
     tenant_completed: HashMap<u32, u64>,
 }
 
@@ -720,18 +722,19 @@ impl Scheduler {
         self.metrics.kv_pages_free_at_drain = self.pool.free_page_count();
         // Digest latency samples once, whole-run and per tenant.
         self.metrics.latency =
-            RequestLatency::from_samples(&self.metrics.serving.ttft, &self.metrics.serving.itl);
+            RequestLatency::digest(&self.metrics.serving.ttft, &self.metrics.itl_histogram);
         let mut ids: Vec<u32> = self.tenant_ttft.keys().copied().collect();
         ids.sort_unstable();
         self.metrics.tenants = ids
             .into_iter()
-            .map(|t| TenantLatency {
-                tenant: t,
-                completed: self.tenant_completed.get(&t).copied().unwrap_or(0),
-                latency: RequestLatency::from_samples(
-                    self.tenant_ttft.get(&t).map_or(&[][..], |v| v),
-                    self.tenant_itl.get(&t).map_or(&[][..], |v| v),
-                ),
+            .map(|t| {
+                let itl_histogram = self.tenant_itl.remove(&t).unwrap_or_default();
+                TenantLatency {
+                    tenant: t,
+                    completed: self.tenant_completed.get(&t).copied().unwrap_or(0),
+                    latency: RequestLatency::digest(&self.tenant_ttft[&t], &itl_histogram),
+                    itl_histogram,
+                }
             })
             .collect();
         self.metrics
@@ -1749,8 +1752,8 @@ impl Scheduler {
                 } else if let Some(last) = a.last_token_at {
                     let d = now.duration_since(last).as_secs_f64();
                     a.itl.push(d);
-                    self.metrics.serving.itl.push(d);
-                    self.tenant_itl.entry(tenant).or_default().push(d);
+                    self.metrics.itl_histogram.record(d);
+                    self.tenant_itl.entry(tenant).or_default().record(d);
                 }
                 a.last_token_at = Some(now);
                 self.metrics.serving.tokens_generated += 1;

@@ -215,7 +215,7 @@ pub(crate) fn worker_loop<TKV: Scalar>(
     let dequant = dequant.as_ref().map(|(k, v)| (k.as_slice(), v.as_slice()));
 
     while let Ok(unit) = rx.recv() {
-        let sent = match &unit {
+        let sent = match unit {
             WorkUnit::Single(u) => emit(
                 &tx,
                 u.ids(),
@@ -226,7 +226,7 @@ pub(crate) fn worker_loop<TKV: Scalar>(
             WorkUnit::Group(g) => emit(
                 &tx,
                 g.ids(),
-                execute_group(&store, dequant, &mut pipeline, cfg, &variant, &params, g)
+                execute_group(&store, dequant, &mut pipeline, cfg, &variant, &params, &g)
                     .map_err(WorkerError::Exec),
             ),
         };
@@ -303,9 +303,11 @@ pub(crate) fn sharded_worker_loop(
 /// Prebuilt page table → BSR layout → plan → run, for one request's unit.
 /// No locks: pool tensors come straight from the append-only store.
 ///
-/// Generic over the arena dtype: the kernel widens `TKV` rows into its
-/// f32 staging tiles (applying `dequant` scales when given), so the same
-/// plan/run path serves every storage precision.
+/// Generic over the arena dtype: the kernel reads f32 rows where they lie
+/// and widens narrower `TKV` rows into its f32 staging tiles (applying
+/// `dequant` scales when given), so the same plan/run path serves every
+/// storage precision. The unit is consumed: its query rows become the
+/// problem's query tensor without a copy.
 fn execute<TKV: Scalar>(
     store: &Arc<KvStore<TKV>>,
     dequant: Option<(&[f32], &[f32])>,
@@ -313,14 +315,14 @@ fn execute<TKV: Scalar>(
     cfg: WorkerConfig,
     variant: &VanillaAttention,
     params: &VariantParams,
-    unit: &SingleUnit,
+    unit: SingleUnit,
 ) -> Result<Vec<f32>, String> {
     let layout = unit
         .pt
         .to_bsr(&[unit.qo_len], cfg.tile.tq)
         .map_err(|e| format!("bsr layout: {e:?}"))?;
-    let mut q = RaggedTensor::<f32>::from_seq_lens(&[unit.qo_len], cfg.heads.qo_width());
-    q.as_tensor_mut().as_mut_slice().copy_from_slice(&unit.q);
+    let q = RaggedTensor::from_parts(vec![0, unit.qo_len], unit.q, cfg.heads.qo_width())
+        .map_err(|e| format!("query rows: {e:?}"))?;
     let mut problem = AttentionProblem::standard_batch(
         &q,
         store.k_pool(),
@@ -332,7 +334,7 @@ fn execute<TKV: Scalar>(
     .map_err(|e| format!("problem: {e:?}"))?;
     if let Some((ks, vs)) = dequant {
         problem = problem
-            .with_kv_dequant(ks.to_vec(), vs.to_vec())
+            .with_kv_dequant(ks, vs)
             .map_err(|e| format!("dequant scales: {e:?}"))?;
     }
     pipeline

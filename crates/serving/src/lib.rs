@@ -39,5 +39,7 @@ pub mod workload;
 
 pub use backend::{Backend, FlashInferBackend, TritonLikeBackend, TrtLikeBackend};
 pub use engine::{Engine, EngineConfig, Request};
-pub use metrics::{LatencySummary, PercentileSummary, PipelineObservables, ServingMetrics};
+pub use metrics::{
+    LatencyHistogram, LatencySummary, PercentileSummary, PipelineObservables, ServingMetrics,
+};
 pub use model::ModelConfig;

@@ -113,6 +113,10 @@ pub struct ServingMetrics {
     /// Time-to-first-token per request, seconds.
     pub ttft: Vec<f64>,
     /// Inter-token latency samples (one per generated token), seconds.
+    ///
+    /// Filled by the simulator only, whose virtual-time runs are short.
+    /// `fi-runtime` leaves it empty: a live run's one per-token series
+    /// goes into a bounded [`LatencyHistogram`] on its own report instead.
     pub itl: Vec<f64>,
     /// Requests completed.
     pub completed: usize,
@@ -193,7 +197,150 @@ pub struct LatencySummary {
     pub max: f64,
 }
 
+/// Lower edge of [`LatencyHistogram`]'s first bucket, seconds. Anything
+/// shorter (a microsecond is far below one scheduler step) lands in it.
+const HISTOGRAM_MIN_S: f64 = 1e-6;
+/// Ratio of a bucket's upper edge to its lower edge: 1 % wide.
+const HISTOGRAM_GROWTH: f64 = 1.01;
+/// Buckets in all; the last one's lower edge is `1e-6 * 1.01^1899`, about
+/// 160 s, and takes anything longer.
+const HISTOGRAM_BUCKETS: usize = 1900;
+
+/// A mergeable, bounded-memory digest of latency samples, seconds.
+///
+/// Samples are counted in log-spaced buckets 1 % wide, so a percentile
+/// read back is within half a percent of the sample it stands for, while
+/// `count`, `sum` and `max` are exact. Only the span between the lowest
+/// and the highest occupied bucket is stored — at most
+/// 1900 counters (15 KiB), a few hundred for one run's inter-token
+/// gaps — however many samples are recorded. Merging adds bucket by
+/// bucket, so the digest of two runs *is* the digest of their pooled
+/// samples: no percentile-of-percentiles approximation.
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct LatencyHistogram {
+    /// Bucket index of `counts[0]`.
+    first: usize,
+    /// Occupancy of buckets `first ..`; both end buckets are occupied.
+    counts: Vec<u64>,
+    count: u64,
+    sum: f64,
+    max: f64,
+}
+
+impl LatencyHistogram {
+    fn bucket_of(seconds: f64) -> usize {
+        // `as usize` saturates: a zero, negative or NaN sample (whose
+        // logarithm is negative or NaN) lands in bucket 0, +inf in the last.
+        let i = ((seconds / HISTOGRAM_MIN_S).ln() / HISTOGRAM_GROWTH.ln()) as usize;
+        i.min(HISTOGRAM_BUCKETS - 1)
+    }
+
+    /// Widen the stored span to cover buckets `lo ..= hi`.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.first = lo;
+        } else if lo < self.first {
+            let grow = self.first - lo;
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.first = lo;
+        }
+        let len = (hi + 1 - self.first).max(self.counts.len());
+        self.counts.resize(len, 0);
+    }
+
+    /// Count one sample.
+    pub fn record(&mut self, seconds: f64) {
+        let i = Self::bucket_of(seconds);
+        self.cover(i, i);
+        self.counts[i - self.first] += 1;
+        self.count += 1;
+        self.sum += seconds;
+        self.max = self.max.max(seconds);
+    }
+
+    /// Fold another histogram in: afterwards this one digests both
+    /// sample sets pooled.
+    pub fn merge(&mut self, other: &LatencyHistogram) {
+        if other.counts.is_empty() {
+            return;
+        }
+        self.cover(other.first, other.first + other.counts.len() - 1);
+        let at = other.first - self.first;
+        for (mine, theirs) in self.counts[at..].iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+    }
+
+    /// Samples recorded.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Sum of the samples, seconds.
+    pub fn sum(&self) -> f64 {
+        self.sum
+    }
+
+    /// Largest sample, seconds; 0 when empty.
+    pub fn max(&self) -> f64 {
+        self.max
+    }
+
+    /// The `k`-th smallest sample (from 0), to the bucket: the geometric
+    /// middle of the bucket holding it, or the exact maximum for the
+    /// largest.
+    fn order_statistic(&self, k: u64) -> f64 {
+        if k + 1 >= self.count {
+            return self.max;
+        }
+        let mut seen = 0u64;
+        for (i, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen > k {
+                let mid = HISTOGRAM_MIN_S * HISTOGRAM_GROWTH.powf((self.first + i) as f64 + 0.5);
+                return mid.min(self.max);
+            }
+        }
+        self.max
+    }
+
+    /// Percentile with [`PercentileSummary::percentile`]'s convention
+    /// (linear interpolation between the two neighbouring order
+    /// statistics), each read to the bucket. Returns 0 for empty.
+    pub fn percentile(&self, p: f64) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        let rank = (p / 100.0) * (self.count - 1) as f64;
+        let lo = self.order_statistic(rank.floor() as u64);
+        if rank.fract() == 0.0 {
+            return lo;
+        }
+        lo + (self.order_statistic(rank.ceil() as u64) - lo) * rank.fract()
+    }
+}
+
 impl LatencySummary {
+    /// Digest a histogram: exact `count`, `mean` and `max`, percentiles
+    /// to the bucket (within 0.5 %).
+    pub fn from_histogram(h: &LatencyHistogram) -> LatencySummary {
+        LatencySummary {
+            count: h.count() as usize,
+            mean: if h.count() == 0 {
+                0.0
+            } else {
+                h.sum() / h.count() as f64
+            },
+            p50: h.percentile(50.0),
+            p90: h.percentile(90.0),
+            p99: h.percentile(99.0),
+            max: h.max(),
+        }
+    }
+
     /// Digest a sample set: one sort (via [`PercentileSummary`]), every
     /// quoted percentile read from it.
     pub fn from_samples(samples: &[f64]) -> LatencySummary {
@@ -214,14 +361,15 @@ impl LatencySummary {
     }
 
     /// Combine two digests whose raw samples are gone (e.g. per-tenant
-    /// digests from different replicas of a cluster).
+    /// TTFT digests from different replicas of a cluster).
     ///
     /// `count`, `mean`, and `max` are exact; the percentiles are
     /// *count-weighted averages* of the inputs' percentiles — an
     /// approximation, since the true quantiles of the union cannot be
-    /// recovered from two digests. Consumers that need exact merged
-    /// percentiles must merge the raw sample vectors instead (that is
-    /// what `RuntimeMetrics::merge` does for the run-wide digest).
+    /// recovered from two digests. Consumers that need merged
+    /// percentiles must merge what the digests were made from instead:
+    /// [`LatencyHistogram`]s, or raw sample vectors (`RuntimeMetrics::merge`
+    /// does the first for ITL and the second for the run-wide TTFT).
     pub fn merge(&self, other: &LatencySummary) -> LatencySummary {
         if self.count == 0 {
             return *other;
@@ -378,6 +526,81 @@ mod tests {
         assert_eq!(empty.count, 0);
         assert_eq!(empty.mean, 0.0);
         assert_eq!(empty.p99, 0.0);
+    }
+
+    #[test]
+    fn histogram_percentiles_track_exact_ones_to_the_bucket() {
+        // Inter-token gaps from 50 us to 2 s, unevenly spread.
+        let samples: Vec<f64> = (0..5000)
+            .map(|i| 5e-5 * (1.0 + (i * i % 977) as f64) * (1.0 + (i % 41) as f64))
+            .collect();
+        let mut h = LatencyHistogram::default();
+        for &s in &samples {
+            h.record(s);
+        }
+        let exact = LatencySummary::from_samples(&samples);
+        let got = LatencySummary::from_histogram(&h);
+        assert_eq!(got.count, exact.count);
+        assert_eq!(got.max, exact.max, "max is exact");
+        assert!((got.mean - exact.mean).abs() <= 1e-12 * exact.mean);
+        for (g, e) in [
+            (got.p50, exact.p50),
+            (got.p90, exact.p90),
+            (got.p99, exact.p99),
+        ] {
+            assert!((g - e).abs() <= 0.006 * e, "{g} vs {e}");
+        }
+        assert_eq!(h.percentile(100.0), exact.max);
+        // Bounded however many samples went in.
+        assert!(h.counts.len() <= HISTOGRAM_BUCKETS);
+    }
+
+    #[test]
+    fn histogram_merge_equals_recording_everything_in_one() {
+        let a: Vec<f64> = (1..400).map(|i| 1e-4 * i as f64).collect();
+        let b: Vec<f64> = (1..90).map(|i| 3e-6 * (i * i) as f64).collect();
+        let digest = |xs: &[f64]| {
+            let mut h = LatencyHistogram::default();
+            xs.iter().for_each(|&x| h.record(x));
+            h
+        };
+        let pooled = digest(&[&a[..], &b[..]].concat());
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            let mut merged = digest(x);
+            merged.merge(&digest(y));
+            assert_eq!(
+                (merged.first, &merged.counts),
+                (pooled.first, &pooled.counts)
+            );
+            assert_eq!(merged.count(), pooled.count());
+            assert_eq!(merged.max(), pooled.max());
+            assert!((merged.sum() - pooled.sum()).abs() <= 1e-12 * pooled.sum());
+            assert_eq!(merged.percentile(50.0), pooled.percentile(50.0));
+        }
+        // Empty histograms are identity elements, and digest to zeros.
+        let mut h = digest(&a);
+        h.merge(&LatencyHistogram::default());
+        assert_eq!(h, digest(&a));
+        let mut e = LatencyHistogram::default();
+        e.merge(&digest(&a));
+        assert_eq!(e, digest(&a));
+        assert_eq!(
+            LatencySummary::from_histogram(&LatencyHistogram::default()),
+            LatencySummary::default()
+        );
+    }
+
+    #[test]
+    fn histogram_takes_out_of_range_samples_at_its_ends() {
+        let mut h = LatencyHistogram::default();
+        for x in [0.0, -1.0, 1e-9, 1e9, f64::INFINITY] {
+            h.record(x);
+        }
+        assert_eq!(h.count(), 5);
+        assert_eq!((h.first, h.counts.len()), (0, HISTOGRAM_BUCKETS));
+        assert_eq!(h.counts[0], 3);
+        assert_eq!(h.counts[HISTOGRAM_BUCKETS - 1], 2);
+        assert_eq!(h.max(), f64::INFINITY);
     }
 
     #[test]

@@ -132,6 +132,14 @@ pub trait Scalar:
             *d = s.to_f32() * scale;
         }
     }
+
+    /// The same elements as an f32 slice when the storage type *is*
+    /// f32, so a kernel can read them in place instead of widening a
+    /// copy; `None` for every narrower type.
+    fn as_f32_slice(src: &[Self]) -> Option<&[f32]> {
+        let _ = src;
+        None
+    }
 }
 
 impl Scalar for f32 {
@@ -158,6 +166,11 @@ impl Scalar for f32 {
                 *d = s * scale;
             }
         }
+    }
+
+    #[inline]
+    fn as_f32_slice(src: &[Self]) -> Option<&[f32]> {
+        Some(src)
     }
 }
 
@@ -252,6 +265,14 @@ mod tests {
         assert_eq!(KvDtype::Fp8E4M3.size_bytes(), 1);
         assert_eq!(KvDtype::F16.as_dtype(), DType::F16);
         assert_eq!(KvDtype::Fp8E4M3.to_string(), "f8e4m3");
+    }
+
+    #[test]
+    fn only_f32_storage_reads_in_place() {
+        let xs = [1.5f32, -2.0];
+        assert_eq!(f32::as_f32_slice(&xs), Some(&xs[..]));
+        assert_eq!(F16::as_f32_slice(&[F16::from_f32(1.5)]), None);
+        assert_eq!(F8E4M3::as_f32_slice(&[F8E4M3::from_f32(1.5)]), None);
     }
 
     #[test]

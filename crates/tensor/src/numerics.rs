@@ -1,11 +1,12 @@
 //! Numerically-stable helpers shared by kernels and tests.
 //!
-//! The hot microkernels (`dot`, `axpy`, `scale`, `scale_add`, the fused
-//! [`exp_scale_accumulate`] softmax pass, and the f16/e4m3 widen
-//! conversions) dispatch at runtime between the portable 4-lane blocked
-//! code in [`portable`] and the explicit SIMD arms in `simd_x86` /
-//! `simd_neon` (see [`crate::simd`] for the detection rules and
-//! `FI_FORCE_SCALAR`). Every consumer — the flash kernel, the reference
+//! The hot microkernels (`dot`, `axpy`, `scale`, `scale_add`, the block
+//! kernels [`dot_block`] / [`row_max`] / [`axpy_block`] the attention
+//! kernel's inner loop is made of, and the f16/e4m3 widen conversions)
+//! dispatch at runtime between the portable 4-lane blocked code in
+//! [`portable`] and the explicit SIMD arms in `simd_x86` / `simd_neon`
+//! (see [`crate::simd`] for the detection rules and `FI_FORCE_SCALAR`).
+//! Every consumer — the flash kernel, the reference
 //! oracle, and the runtime's workers — must route through these
 //! dispatched functions: kernel-vs-reference and sequential-vs-concurrent
 //! comparisons then see identical arithmetic at whatever feature level
@@ -226,59 +227,153 @@ pub fn scale_add(s: f32, a: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// The fused online-softmax inner pass over one KV tile for one query
-/// row: exponentiate masked logits against the running max, accumulate
-/// the softmax denominator, and fold `p[j] * v[j]` into the accumulator
-/// — deferring the `exp(m_old - m_new)` rescale of `acc` into the first
-/// [`scale_add`] so every element of `acc` is touched exactly once.
+/// `rows` equal-width rows at a fixed stride inside one f32 slice: how
+/// the block kernels see a query tile, a staged KV tile, or a run of KV
+/// rows read in place from a pool (where the stride is the full pool
+/// row and the width one head's slice of it).
 ///
-/// Inputs: `logits[j]` are the tile's masked scores (`NEG_INFINITY` =
-/// masked out, contributes nothing), `max` the *new* running row max,
-/// `rescale = exp(m_old - max)` (0.0 when there was no previous max),
-/// `l` the previous denominator, and `v_tile` the staged f32 V tile with
-/// `row_stride` elements per KV row of which the `acc.len()` columns at
-/// `col_offset` belong to this head. Returns the updated denominator
-/// `l * rescale + Σ p[j]`.
+/// The bounds are checked once here, so the SIMD arms can walk rows by
+/// pointer without re-checking.
+#[derive(Debug, Clone, Copy)]
+pub struct RowView<'a> {
+    data: &'a [f32],
+    stride: usize,
+    rows: usize,
+    width: usize,
+}
+
+impl<'a> RowView<'a> {
+    /// View `rows` rows of `width` elements, row `i` starting at
+    /// `i * stride`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the last row would end outside `data`.
+    pub fn new(data: &'a [f32], stride: usize, rows: usize, width: usize) -> RowView<'a> {
+        let end = match rows.checked_sub(1) {
+            None => Some(0),
+            Some(last) => last
+                .checked_mul(stride)
+                .and_then(|at| at.checked_add(width)),
+        };
+        assert!(
+            end.is_some_and(|e| e <= data.len()),
+            "{rows} rows of {width} at stride {stride} do not fit in {} elements",
+            data.len()
+        );
+        RowView {
+            data,
+            stride,
+            rows,
+            width,
+        }
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Elements per row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Row `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= rows`.
+    #[inline]
+    pub fn row(&self, i: usize) -> &'a [f32] {
+        assert!(i < self.rows, "row {i} out of {}", self.rows);
+        &self.data[i * self.stride..][..self.width]
+    }
+
+    /// Address of row 0 and the row stride: what the SIMD arms walk
+    /// instead of re-slicing per row. Rows `0..rows` of `width` elements
+    /// at that stride are inside the slice ([`RowView::new`] checked).
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    pub(crate) fn raw(&self) -> (*const f32, usize) {
+        (self.data.as_ptr(), self.stride)
+    }
+}
+
+/// The QKᵀ block: `out[s * out_stride + j] = dot(q.row(s), k.row(j))`
+/// for every query row `s` and key row `j`.
 ///
-/// `exp` stays scalar libm on every arm — a vectorized polynomial would
-/// round differently per arm and break the cross-arm bit-identity of the
-/// elementwise kernels this pass composes.
+/// Each entry carries exactly the bits [`dot`] returns for that pair on
+/// the active arm. The AVX2+FMA arm computes 2 × 2 entries at a time
+/// (eight independent FMA chains, each operand vector loaded once and
+/// used twice, four horizontal sums reduced together) but keeps every
+/// dot's own accumulation order; the other arms loop [`dot`].
 ///
 /// # Panics
 ///
-/// Panics if a row slice `[j * row_stride + col_offset ..][.. acc.len()]`
-/// falls outside `v_tile`.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn exp_scale_accumulate(
-    logits: &[f32],
-    max: f32,
-    rescale: f32,
-    l: f32,
-    v_tile: &[f32],
-    row_stride: usize,
-    col_offset: usize,
-    acc: &mut [f32],
-) -> f32 {
-    let d = acc.len();
-    let mut l = l * rescale;
-    let mut pending = Some(rescale);
-    for (j, &t) in logits.iter().enumerate() {
-        if t == f32::NEG_INFINITY {
-            continue;
-        }
-        let p = (t - max).exp();
-        l += p;
-        let vv = &v_tile[j * row_stride + col_offset..][..d];
-        match pending.take() {
-            Some(s) => scale_add(s, p, vv, acc),
-            None => axpy(p, vv, acc),
+/// Panics if the row widths differ or a `k.rows()`-long output row at
+/// `out_stride` falls outside `out`.
+pub fn dot_block(q: RowView<'_>, k: RowView<'_>, out: &mut [f32], out_stride: usize) {
+    assert_eq!(q.width(), k.width(), "row width mismatch in dot_block");
+    // The output tile, bounds-checked the way the operand views were.
+    let _ = RowView::new(out, out_stride, q.rows(), k.rows());
+    match active_arm() {
+        #[cfg(target_arch = "x86_64")]
+        SimdArm::Avx2Fma => crate::simd_x86::dot_block(q, k, out, out_stride),
+        _ => {
+            for s in 0..q.rows() {
+                for j in 0..k.rows() {
+                    out[s * out_stride + j] = dot(q.row(s), k.row(j));
+                }
+            }
         }
     }
-    if let Some(s) = pending {
-        scale(acc, s);
+}
+
+/// Largest element of `xs`, `NEG_INFINITY` when empty; NaNs are skipped,
+/// exactly as a `fold(NEG_INFINITY, f32::max)` skips them (the two can
+/// differ only in the sign of a zero result, which no caller observes).
+pub fn row_max(xs: &[f32]) -> f32 {
+    match active_arm() {
+        #[cfg(target_arch = "x86_64")]
+        SimdArm::Avx2Fma => crate::simd_x86::row_max(xs),
+        _ => xs.iter().copied().fold(f32::NEG_INFINITY, f32::max),
     }
-    l
+}
+
+/// The PV block: `y.row(s) += Σ_j w.row(s)[j] * x.row(j)` for every row
+/// `s` of the weight tile `w`, keys folded in ascending `j`, every
+/// `w.row(s)[j] == NEG_INFINITY` (a masked key) skipped. `y` holds
+/// `w.rows()` rows of `x.width()` elements at `y_stride`.
+///
+/// Per element and key this is [`axpy`]'s `y[i] += w * x[i]` — multiply,
+/// then add, never a fused multiply-add — so the bits are those of
+/// looping [`axpy`] on every arm; the AVX2 arm keeps each `y` row in
+/// registers across the whole run of keys instead of reloading and
+/// storing it per key.
+///
+/// # Panics
+///
+/// Panics if `w.width() != x.rows()`, `y_stride < x.width()`, or the
+/// rows of `y` do not fit in it.
+pub fn axpy_block(w: RowView<'_>, x: RowView<'_>, y: &mut [f32], y_stride: usize) {
+    assert_eq!(w.width(), x.rows(), "weight count mismatch in axpy_block");
+    assert!(y_stride >= x.width(), "overlapping rows in axpy_block");
+    let _ = RowView::new(y, y_stride, w.rows(), x.width());
+    match active_arm() {
+        #[cfg(target_arch = "x86_64")]
+        SimdArm::Avx2Fma => crate::simd_x86::axpy_block(w, x, y, y_stride),
+        _ => {
+            for s in 0..w.rows() {
+                let ys = &mut y[s * y_stride..][..x.width()];
+                for (j, &wj) in w.row(s).iter().enumerate() {
+                    if wj != f32::NEG_INFINITY {
+                        axpy(wj, x.row(j), ys);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// `dst[i] = f32::from(src[i]) * scale` for half-precision rows — the
@@ -462,83 +557,6 @@ mod tests {
         scale(&mut y, 2.0);
         scale_add(2.0, 3.0, &[], &mut y);
         assert!(y.is_empty());
-    }
-
-    /// The unfused form of the online-softmax inner pass, written exactly
-    /// as the kernel's pre-fusion loop: rescale folded into the first
-    /// touch of `acc` via scale_add, axpy thereafter.
-    #[allow(clippy::too_many_arguments)]
-    fn unfused_reference(
-        logits: &[f32],
-        max: f32,
-        rescale: f32,
-        mut l: f32,
-        v_tile: &[f32],
-        row_stride: usize,
-        col_offset: usize,
-        acc: &mut [f32],
-    ) -> f32 {
-        let d = acc.len();
-        l *= rescale;
-        let mut pending = Some(rescale);
-        for (j, &t) in logits.iter().enumerate() {
-            if t == f32::NEG_INFINITY {
-                continue;
-            }
-            let p = (t - max).exp();
-            l += p;
-            let vv = &v_tile[j * row_stride + col_offset..][..d];
-            match pending.take() {
-                Some(s) => scale_add(s, p, vv, acc),
-                None => axpy(p, vv, acc),
-            }
-        }
-        if let Some(s) = pending {
-            scale(acc, s);
-        }
-        l
-    }
-
-    #[test]
-    fn exp_scale_accumulate_matches_unfused_bitwise() {
-        let d = 7;
-        let rows = 5;
-        let stride = d + 3;
-        let v_tile: Vec<f32> = (0..rows * stride)
-            .map(|i| ((i as f32) * 0.7).sin() * 2.0)
-            .collect();
-        for masked in [vec![], vec![1usize], vec![0, 1, 2, 3, 4]] {
-            let mut logits: Vec<f32> = (0..rows).map(|j| (j as f32) * 0.4 - 1.0).collect();
-            for &j in &masked {
-                logits[j] = f32::NEG_INFINITY;
-            }
-            let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let max = if max == f32::NEG_INFINITY { 0.0 } else { max };
-            for rescale in [0.0f32, 0.62] {
-                let acc0: Vec<f32> = (0..d).map(|i| (i as f32) * 0.3 - 0.8).collect();
-
-                let mut a1 = acc0.clone();
-                let l1 =
-                    exp_scale_accumulate(&logits, max, rescale, 1.9, &v_tile, stride, 2, &mut a1);
-
-                let mut a2 = acc0.clone();
-                let l2 = unfused_reference(&logits, max, rescale, 1.9, &v_tile, stride, 2, &mut a2);
-
-                assert_eq!(l1.to_bits(), l2.to_bits());
-                assert_eq!(a1, a2);
-            }
-        }
-    }
-
-    #[test]
-    fn exp_scale_accumulate_all_masked_scales_acc() {
-        // Every logit masked: acc must still be rescaled and l multiplied.
-        let logits = [f32::NEG_INFINITY; 4];
-        let v_tile = [1.0f32; 8];
-        let mut acc = vec![2.0f32, -4.0];
-        let l = exp_scale_accumulate(&logits, 0.0, 0.5, 3.0, &v_tile, 2, 0, &mut acc);
-        assert_eq!(l, 1.5);
-        assert_eq!(acc, vec![1.0, -2.0]);
     }
 
     #[test]

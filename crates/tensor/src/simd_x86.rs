@@ -14,6 +14,11 @@
 //!   instructions (never `fmadd`), with scalar tails written as the same
 //!   per-element expression, so every length produces bits identical to
 //!   the portable fallback.
+//! - The block kernels change only what is interleaved and where the
+//!   running values live: every entry of `dot_block` is accumulated in
+//!   `dot`'s order, every element of `axpy_block` sees `axpy`'s multiply
+//!   and add key by key, and `row_max` is an exact selection —
+//!   bit-identical to looping the single-row kernels above.
 //! - The f16/e4m3 widen kernels are exact conversions (F16C hardware
 //!   convert, in-register e4m3 bit-field expansion) followed by one
 //!   multiply by the dequant scale — the same single rounding as the
@@ -25,6 +30,7 @@ use std::arch::x86_64::*;
 
 use crate::fp8::{e4m3_to_f32_lut, F8E4M3};
 use crate::half::F16;
+use crate::numerics::RowView;
 
 /// FMA'd dot product. Agrees with `numerics::portable::dot` to
 /// tolerance, not bitwise.
@@ -82,6 +88,316 @@ fn hsum256(v: __m256) -> f32 {
     let pair = _mm_add_ps(quad, _mm_movehl_ps(quad, quad));
     let single = _mm_add_ss(pair, _mm_movehdup_ps(pair));
     _mm_cvtss_f32(single)
+}
+
+/// Horizontal sums of four 8-lane registers at once, lane `i` of the
+/// result holding exactly [`hsum256`]`(v[i])`: the same three additions
+/// per register — `(q0 + q2) + (q1 + q3)` over the folded halves — done
+/// on transposed lanes, so the four reductions share their instructions.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn hsum256x4(v: [__m256; 4]) -> [f32; 4] {
+    let mut quad = [_mm_setzero_ps(); 4];
+    for (q, r) in quad.iter_mut().zip(v) {
+        *q = _mm_add_ps(_mm256_castps256_ps128(r), _mm256_extractf128_ps::<1>(r));
+    }
+    // (q0+q2, q0'+q2', q1+q3, q1'+q3') for registers 0,1 and for 2,3.
+    let s01 = _mm_add_ps(
+        _mm_unpacklo_ps(quad[0], quad[1]),
+        _mm_unpackhi_ps(quad[0], quad[1]),
+    );
+    let s23 = _mm_add_ps(
+        _mm_unpacklo_ps(quad[2], quad[3]),
+        _mm_unpackhi_ps(quad[2], quad[3]),
+    );
+    let total = _mm_add_ps(_mm_movelh_ps(s01, s23), _mm_movehl_ps(s23, s01));
+    let mut out = [0.0f32; 4];
+    // SAFETY: `out` is four f32s, the width of the unaligned store.
+    unsafe { _mm_storeu_ps(out.as_mut_ptr(), total) };
+    out
+}
+
+/// Pointer to row `i` of a view, valid for `v.width()` reads.
+///
+/// # Safety
+///
+/// `i < v.rows()`: `RowView::new` checked that exactly those rows lie
+/// inside the viewed slice.
+#[inline]
+unsafe fn row_ptr(v: RowView<'_>, i: usize) -> *const f32 {
+    debug_assert!(i < v.rows());
+    let (base, stride) = v.raw();
+    // SAFETY: row i starts `i * stride` elements into the slice.
+    unsafe { base.add(i * stride) }
+}
+
+/// The QKᵀ block `out[s * out_stride + j] = dot(q.row(s), k.row(j))`,
+/// every entry bit-identical to [`dot`] on that pair.
+///
+/// # Panics
+///
+/// Panics if the row widths differ or the output tile does not fit.
+#[inline]
+pub fn dot_block(q: RowView<'_>, k: RowView<'_>, out: &mut [f32], out_stride: usize) {
+    assert_eq!(q.width(), k.width(), "row width mismatch in dot_block");
+    // The output tile, bounds-checked the way the operand views were.
+    let _ = RowView::new(out, out_stride, q.rows(), k.rows());
+    // SAFETY: dispatch only routes here after runtime AVX2+FMA detection.
+    unsafe { dot_block_avx2(q, k, out, out_stride) }
+}
+
+#[target_feature(enable = "avx2,fma")]
+fn dot_block_avx2(q: RowView<'_>, k: RowView<'_>, out: &mut [f32], out_stride: usize) {
+    let out = out.as_mut_ptr();
+    let mut s = 0usize;
+    while s + 2 <= q.rows() {
+        // SAFETY: rows s and s + 1 exist, and `dot_block` checked that
+        // `q.rows()` output rows of `k.rows()` entries fit in `out`.
+        unsafe {
+            let to = [out.add(s * out_stride), out.add((s + 1) * out_stride)];
+            dot_strip([row_ptr(q, s), row_ptr(q, s + 1)], k, to);
+        }
+        s += 2;
+    }
+    if s < q.rows() {
+        // SAFETY: as above, for the one remaining row.
+        unsafe { dot_strip([row_ptr(q, s)], k, [out.add(s * out_stride)]) };
+    }
+}
+
+/// `R` query rows against every key, two keys at a time.
+///
+/// # Safety
+///
+/// Each `q[r]` must be valid for `k.width()` reads and each `out[r]` for
+/// `k.rows()` writes.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn dot_strip<const R: usize>(q: [*const f32; R], k: RowView<'_>, out: [*mut f32; R]) {
+    let n = k.width();
+    let mut j = 0usize;
+    while j + 2 <= k.rows() {
+        // SAFETY: rows j and j + 1 exist, so their pointers are valid for
+        // `n` reads (as the caller promises of `q`), and column j + 1 is
+        // inside every output row.
+        unsafe {
+            let t = dot_tile(q, [row_ptr(k, j), row_ptr(k, j + 1)], n);
+            for r in 0..R {
+                *out[r].add(j) = t[r][0];
+                *out[r].add(j + 1) = t[r][1];
+            }
+        }
+        j += 2;
+    }
+    if j < k.rows() {
+        // SAFETY: as above, for the one remaining key.
+        unsafe {
+            let t = dot_tile(q, [row_ptr(k, j)], n);
+            for r in 0..R {
+                *out[r].add(j) = t[r][0];
+            }
+        }
+    }
+}
+
+/// `R × C` dot products (`R * C <= 4`) of `n`-element rows advanced
+/// together. Each keeps the two accumulators, the strides and the tails
+/// of [`dot_avx2`], so its bits are that function's; what the block adds
+/// is `2 * R * C` independent FMA chains and `R + C` operand loads per
+/// `R * C` FMAs.
+///
+/// # Safety
+///
+/// Every pointer must be valid for `n` reads.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn dot_tile<const R: usize, const C: usize>(
+    q: [*const f32; R],
+    k: [*const f32; C],
+    n: usize,
+) -> [[f32; C]; R] {
+    const { assert!(R * C <= 4) };
+    let zero = _mm256_setzero_ps();
+    let mut acc0 = [[zero; C]; R];
+    let mut acc1 = [[zero; C]; R];
+    let mut i = 0usize;
+    while i + 16 <= n {
+        // SAFETY: every row is valid for n reads and i + 16 <= n keeps
+        // both unaligned 8-lane loads of each row in bounds.
+        unsafe {
+            let (mut q0, mut q1) = ([zero; R], [zero; R]);
+            for r in 0..R {
+                q0[r] = _mm256_loadu_ps(q[r].add(i));
+                q1[r] = _mm256_loadu_ps(q[r].add(i + 8));
+            }
+            for c in 0..C {
+                let k0 = _mm256_loadu_ps(k[c].add(i));
+                let k1 = _mm256_loadu_ps(k[c].add(i + 8));
+                for r in 0..R {
+                    acc0[r][c] = _mm256_fmadd_ps(q0[r], k0, acc0[r][c]);
+                    acc1[r][c] = _mm256_fmadd_ps(q1[r], k1, acc1[r][c]);
+                }
+            }
+        }
+        i += 16;
+    }
+    if i + 8 <= n {
+        // SAFETY: every row is valid for n reads and i + 8 <= n keeps the
+        // load in bounds.
+        unsafe {
+            for c in 0..C {
+                let k0 = _mm256_loadu_ps(k[c].add(i));
+                for r in 0..R {
+                    acc0[r][c] = _mm256_fmadd_ps(_mm256_loadu_ps(q[r].add(i)), k0, acc0[r][c]);
+                }
+            }
+        }
+        i += 8;
+    }
+    let mut sums = [zero; 4];
+    for r in 0..R {
+        for c in 0..C {
+            sums[r * C + c] = _mm256_add_ps(acc0[r][c], acc1[r][c]);
+        }
+    }
+    let totals = hsum256x4(sums);
+    let mut out = [[0.0f32; C]; R];
+    for r in 0..R {
+        for c in 0..C {
+            let mut total = totals[r * C + c];
+            for t in i..n {
+                // SAFETY: t < n.
+                total = unsafe { (*q[r].add(t)).mul_add(*k[c].add(t), total) };
+            }
+            out[r][c] = total;
+        }
+    }
+    out
+}
+
+/// Largest element, `NEG_INFINITY` when empty, NaNs skipped.
+#[inline]
+pub fn row_max(xs: &[f32]) -> f32 {
+    // SAFETY: dispatch only routes here after runtime AVX2+FMA detection.
+    unsafe { row_max_avx2(xs) }
+}
+
+#[target_feature(enable = "avx2")]
+fn row_max_avx2(xs: &[f32]) -> f32 {
+    let n = xs.len();
+    let p = xs.as_ptr();
+    let mut best = _mm256_set1_ps(f32::NEG_INFINITY);
+    let mut i = 0usize;
+    while i + 8 <= n {
+        // SAFETY: i + 8 <= n keeps the load in bounds.
+        // `vmaxps` returns its second operand when the first is NaN, so
+        // a NaN element leaves the running maximum as it was — what
+        // `f32::max` does — and `best` itself is never NaN.
+        best = unsafe { _mm256_max_ps(_mm256_loadu_ps(p.add(i)), best) };
+        i += 8;
+    }
+    let mut lanes = [0.0f32; 8];
+    // SAFETY: `lanes` is eight f32s, the width of the unaligned store.
+    unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), best) };
+    lanes
+        .iter()
+        .chain(&xs[i..])
+        .copied()
+        .fold(f32::NEG_INFINITY, f32::max)
+}
+
+/// The PV block: `y.row(s) += Σ_j w.row(s)[j] * x.row(j)` over the
+/// unmasked `j` in ascending order, for every row `s` of `w`, with
+/// `y.row(s)` held in registers across the whole run of keys. See
+/// `numerics::axpy_block` for the contract; per element the operations
+/// are [`axpy`]'s, key by key.
+///
+/// # Panics
+///
+/// Panics if `w.width() != x.rows()` or `w.rows()` rows of `x.width()`
+/// elements at `y_stride >= x.width()` do not fit in `y`.
+#[inline]
+pub fn axpy_block(w: RowView<'_>, x: RowView<'_>, y: &mut [f32], y_stride: usize) {
+    assert_eq!(w.width(), x.rows(), "weight count mismatch in axpy_block");
+    assert!(y_stride >= x.width(), "overlapping rows in axpy_block");
+    let _ = RowView::new(y, y_stride, w.rows(), x.width());
+    // SAFETY: dispatch only routes here after runtime AVX2+FMA detection.
+    unsafe { axpy_block_avx2(w, x, y, y_stride) }
+}
+
+#[target_feature(enable = "avx2")]
+fn axpy_block_avx2(w: RowView<'_>, x: RowView<'_>, y: &mut [f32], y_stride: usize) {
+    let (d, n) = (x.width(), w.rows());
+    // Column panels of 8, 4, 2 and 1 registers, every accumulator row in
+    // turn inside each: the order panels and rows are visited in does not
+    // matter to any element, the key order inside a panel does.
+    let mut col = 0usize;
+    for regs in [8usize, 4, 2, 1] {
+        while col + 8 * regs <= d {
+            for s in 0..n {
+                let panel = &mut y[s * y_stride + col..][..8 * regs];
+                // SAFETY: `panel` is 8 * regs long, `w.row(s)` has one
+                // weight per row of `x` (`axpy_block` checked), and columns
+                // `col .. col + 8 * regs` are inside every row of `x`.
+                unsafe {
+                    match regs {
+                        8 => axpy_panel::<8>(w.row(s), x, col, panel.as_mut_ptr()),
+                        4 => axpy_panel::<4>(w.row(s), x, col, panel.as_mut_ptr()),
+                        2 => axpy_panel::<2>(w.row(s), x, col, panel.as_mut_ptr()),
+                        _ => axpy_panel::<1>(w.row(s), x, col, panel.as_mut_ptr()),
+                    }
+                }
+            }
+            col += 8 * regs;
+        }
+    }
+    if col < d {
+        for s in 0..n {
+            let tail = &mut y[s * y_stride + col..][..d - col];
+            for (j, &wj) in w.row(s).iter().enumerate() {
+                if wj != f32::NEG_INFINITY {
+                    for (yy, &xx) in tail.iter_mut().zip(&x.row(j)[col..]) {
+                        *yy += wj * xx;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Columns `col .. col + 8 * N` of one accumulator row of the PV block.
+///
+/// # Safety
+///
+/// `y` must be valid for `8 * N` reads and writes, `w.len() == x.rows()`
+/// and `col + 8 * N <= x.width()`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn axpy_panel<const N: usize>(w: &[f32], x: RowView<'_>, col: usize, y: *mut f32) {
+    let mut acc = [_mm256_setzero_ps(); N];
+    for (i, a) in acc.iter_mut().enumerate() {
+        // SAFETY: y is valid for 8 * N reads.
+        *a = unsafe { _mm256_loadu_ps(y.add(8 * i)) };
+    }
+    for (j, &wj) in w.iter().enumerate() {
+        if wj == f32::NEG_INFINITY {
+            continue;
+        }
+        let wv = _mm256_set1_ps(wj);
+        // SAFETY: j < x.rows(), and the panel's columns are inside the row.
+        let xj = unsafe { row_ptr(x, j).add(col) };
+        for (i, a) in acc.iter_mut().enumerate() {
+            // SAFETY: xj is valid for 8 * N reads.
+            let xv = unsafe { _mm256_loadu_ps(xj.add(8 * i)) };
+            // axpy: mul + add, not fmadd.
+            *a = _mm256_add_ps(*a, _mm256_mul_ps(wv, xv));
+        }
+    }
+    for (i, a) in acc.iter().enumerate() {
+        // SAFETY: y is valid for 8 * N writes; it cannot alias x (shared
+        // vs exclusive borrow in `axpy_block`).
+        unsafe { _mm256_storeu_ps(y.add(8 * i), *a) };
+    }
 }
 
 /// `y[i] += a * x[i]`, bit-identical to the portable fallback.
