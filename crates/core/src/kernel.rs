@@ -12,10 +12,11 @@
 //!   (§3.2.2) — numerics are tile-size independent (online softmax), only
 //!   the cost accounting changes;
 //! * execution either produces final outputs
-//!   ([`FlashKernel::run_with_scratch`]) or mergeable partial
-//!   [`crate::state::AttentionState`]s for one KV chunk of one tile
-//!   ([`FlashKernel::run_block_row_chunk_scratch`]) — the scheduler's
-//!   split-KV unit of work (§3.3.1).
+//!   ([`FlashKernel::run_with_scratch`]) or mergeable partial attention
+//!   states ([`crate::state`]), flat in the scratch, for one KV chunk of
+//!   one tile ([`FlashKernel::run_block_row_chunk_scratch`]) — the
+//!   scheduler's split-KV unit of work (§3.3.1). Either way a state
+//!   becomes an output row in [`finalize_tile`] and nowhere else.
 //!
 //! The inner loop is the FlashAttention-2 online-softmax update: running
 //! max `m`, running denominator `l`, and unnormalized accumulator, all in
@@ -393,6 +394,57 @@ pub struct ChunkMeta {
     pub stats: KernelStats,
 }
 
+/// The one finalize: write a tile's final flat states — `states_lse.len()`
+/// states in `[row, qo_head]` order starting at query row `row_start`,
+/// `states_o` their `[n_states, d]` outputs — into the output tensor,
+/// applying the variant's `output_transform` with each `(row, head)`'s own
+/// [`QueryCtx`], and record LSE into `lse` (`[rows, H_qo]`) when the
+/// variant uses softmax. Every executor ends here: the direct kernel run,
+/// the plan/run pipeline's writethrough and contracted tiles, the cascade.
+///
+/// # Panics
+///
+/// Panics if the states reach past `row_meta`, `o` or `lse`.
+#[allow(clippy::too_many_arguments)]
+pub fn finalize_tile(
+    variant: &dyn AttentionVariant,
+    params: &VariantParams,
+    heads: HeadConfig,
+    row_meta: &[RowMeta],
+    row_start: usize,
+    states_o: &[f32],
+    states_lse: &[f32],
+    o: &mut RaggedTensor<f32>,
+    lse: &mut [f32],
+) {
+    let (hq, d) = (heads.num_qo_heads, heads.head_dim);
+    assert_eq!(
+        states_o.len(),
+        states_lse.len() * d,
+        "flat o length mismatch"
+    );
+    if variant.use_softmax() {
+        lse[row_start * hq..][..states_lse.len()].copy_from_slice(states_lse);
+    }
+    for i in 0..states_lse.len() {
+        let (row, head) = (row_start + i / hq, i % hq);
+        let meta = row_meta[row];
+        let out = &mut o.global_row_mut(row)[head * d..(head + 1) * d];
+        out.copy_from_slice(&states_o[i * d..(i + 1) * d]);
+        variant.output_transform(
+            params,
+            out,
+            QueryCtx {
+                batch_idx: meta.batch_idx,
+                qo_pos: meta.qo_pos,
+                qo_head_idx: head,
+                qo_len: meta.qo_len,
+                kv_len: meta.kv_len,
+            },
+        );
+    }
+}
+
 /// The FA2-style kernel, configured with a tile size and the head-fusion
 /// switch (Appendix A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -436,12 +488,10 @@ impl FlashKernel {
         scratch: &mut KernelScratch,
     ) -> Result<KernelOutput, AttentionError> {
         let heads = problem.heads;
-        let d = heads.head_dim;
         let rows = problem.layout.rows();
         let mut o = RaggedTensor::<f32>::zeros(problem.q.indptr().to_vec(), heads.qo_width())?;
         let mut lse = vec![f32::NEG_INFINITY; rows * heads.num_qo_heads];
         let mut stats = KernelStats::default();
-        let mut orow = vec![0.0f32; d];
 
         for br in 0..problem.layout.n_block_rows() {
             let n_blocks = problem.layout.block_row(br).len();
@@ -455,27 +505,17 @@ impl FlashKernel {
             )?;
             stats.absorb(&meta.stats);
             // Write through: full-KV states are final.
-            for si in 0..meta.n_states {
-                let row = meta.row_start + si / heads.num_qo_heads;
-                let head = si % heads.num_qo_heads;
-                let rmeta = problem.row_meta[row];
-                if variant.use_softmax() {
-                    lse[row * heads.num_qo_heads + head] = scratch.out_lse[si];
-                }
-                orow.copy_from_slice(&scratch.out_o[si * d..(si + 1) * d]);
-                variant.output_transform(
-                    params,
-                    &mut orow,
-                    QueryCtx {
-                        batch_idx: rmeta.batch_idx,
-                        qo_pos: rmeta.qo_pos,
-                        qo_head_idx: head,
-                        qo_len: rmeta.qo_len,
-                        kv_len: rmeta.kv_len,
-                    },
-                );
-                o.global_row_mut(row)[head * d..(head + 1) * d].copy_from_slice(&orow);
-            }
+            finalize_tile(
+                variant,
+                params,
+                heads,
+                &problem.row_meta,
+                meta.row_start,
+                &scratch.out_o,
+                &scratch.out_lse,
+                &mut o,
+                &mut lse,
+            );
         }
         // Q read + O write traffic.
         stats.global_bytes +=

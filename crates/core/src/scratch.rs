@@ -10,9 +10,14 @@
 //! While a chunk runs, per-state buffers are ordered **KV-head-major**,
 //! `[kv_head][row][head in group]`, so the states that share a KV head —
 //! the query rows of one QKᵀ block — are contiguous; the finalized
-//! outputs are written back in the public `[row][qo_head]` order. Buffers are grown monotonically with
-//! `clear()`/`resize()` (capacity is never released, mirroring the plan/run
-//! workspace contract), so after a warmup call the hot path
+//! outputs are written back in the public `[row][qo_head]` order, as the
+//! flat `(o, lse)` slice pair that is the one form an attention state takes
+//! on any execution path ([`crate::state`]): consumers copy it into a
+//! workspace slot, ⊕ it into an accumulator, or finalize it
+//! ([`crate::kernel::finalize_tile`]) straight from here. Buffers are grown
+//! monotonically with `clear()`/`resize()` (capacity is never released,
+//! mirroring the plan/run workspace contract), so after a warmup call the
+//! hot path
 //! [`crate::kernel::FlashKernel::run_block_row_chunk_scratch`] performs zero
 //! heap allocations: every chunk, block row, and pipeline invocation reuses
 //! the same backing storage. See `crates/core/tests/alloc_free.rs` for the
@@ -20,7 +25,8 @@
 //!
 //! One scratch must only be used by one thread at a time (it is plain `Send`
 //! owned data); every `fi-sched` pipeline, hence every runtime worker,
-//! owns one.
+//! owns one, and every launch through the pipeline — plan/run or cascade —
+//! uses that one.
 
 use crate::state::AttentionState;
 
@@ -82,8 +88,7 @@ impl KernelScratch {
 
     /// Materialize the last chunk's states as owned [`AttentionState`]s
     /// (one `Vec` per state) — for callers that merge chunks with ⊕ by
-    /// hand; allocation-free consumers read [`KernelScratch::out_o`] /
-    /// [`KernelScratch::out_lse`] directly.
+    /// hand (examples, tests); no execution path does.
     pub fn states(&self, d: usize) -> Vec<AttentionState> {
         self.out_lse
             .iter()

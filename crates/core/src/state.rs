@@ -15,8 +15,55 @@
 //! makes load-balanced KV chunking (§3.3.1) and composable formats (§3.1.2)
 //! deterministic and order-flexible.
 //!
-//! Variants that disable softmax (e.g. FlashSigmoid) compose with plain
-//! summation instead; [`AttentionState::merge_sum`] covers that path.
+//! On every execution path a state is a flat `(o, lse)` slice pair — the
+//! kernel scratch's outputs, a workspace slot, the cascade accumulator —
+//! and ⊕ is [`merge_into`], in place on the left operand. Variants that
+//! disable softmax (e.g. FlashSigmoid) compose with plain summation
+//! instead: [`merge_sum_into`]. [`AttentionState`] is the owned-value form
+//! for callers that merge by hand; its methods go through the same two
+//! functions, so each formula exists once.
+
+/// ⊕ in place (softmax semantics): fold the state `(o, lse)` into
+/// `(acc_o, acc_lse)`. The scale-aware formulation never exponentiates
+/// anything positive, so it is stable for large `lse`. An identity
+/// accumulator (`acc_lse == -inf`) takes the right operand whole, its LSE
+/// included; an identity right operand changes nothing.
+///
+/// # Panics
+///
+/// Panics if dimensions differ.
+pub fn merge_into(acc_o: &mut [f32], acc_lse: &mut f32, o: &[f32], lse: f32) {
+    assert_eq!(acc_o.len(), o.len(), "state dimension mismatch");
+    if *acc_lse == f32::NEG_INFINITY {
+        acc_o.copy_from_slice(o);
+        *acc_lse = lse;
+        return;
+    }
+    if lse == f32::NEG_INFINITY {
+        return;
+    }
+    let m = acc_lse.max(lse);
+    let wa = (*acc_lse - m).exp();
+    let wb = (lse - m).exp();
+    let denom = wa + wb;
+    for (a, &b) in acc_o.iter_mut().zip(o) {
+        *a = (wa * *a + wb * b) / denom;
+    }
+    *acc_lse = m + denom.ln();
+}
+
+/// ⊕ in place with summation semantics (non-softmax variants): outputs
+/// add; such states carry no scale (their LSE stays `-inf`).
+///
+/// # Panics
+///
+/// Panics if dimensions differ.
+pub fn merge_sum_into(acc_o: &mut [f32], o: &[f32]) {
+    assert_eq!(acc_o.len(), o.len(), "state dimension mismatch");
+    for (a, &b) in acc_o.iter_mut().zip(o) {
+        *a += b;
+    }
+}
 
 /// The attention state of one (query row, head): output vector + log-sum-exp
 /// scale.
@@ -44,88 +91,43 @@ impl AttentionState {
     }
 
     /// Compose with another state over a disjoint index set (softmax
-    /// semantics). The scale-aware formulation below never exponentiates
-    /// anything positive, so it is stable for large `lse`.
+    /// semantics): [`merge_into`] on a copy of `self`.
     ///
     /// # Panics
     ///
     /// Panics if dimensions differ.
     pub fn merge(&self, other: &AttentionState) -> AttentionState {
-        self.merge_flat(&other.o, other.lse)
+        let mut acc = self.clone();
+        merge_into(&mut acc.o, &mut acc.lse, &other.o, other.lse);
+        acc
     }
 
-    /// ⊕ with a borrowed `(o, lse)` right operand — the scratch-arena path,
-    /// which merges straight out of the kernel's flat output buffers
-    /// without materializing an `AttentionState` for the right-hand side.
-    /// Bit-identical to [`AttentionState::merge`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub fn merge_flat(&self, o: &[f32], lse: f32) -> AttentionState {
-        assert_eq!(self.o.len(), o.len(), "state dimension mismatch");
-        if self.is_identity() {
-            return AttentionState { o: o.to_vec(), lse };
-        }
-        if lse == f32::NEG_INFINITY {
-            return self.clone();
-        }
-        let m = self.lse.max(lse);
-        let wa = (self.lse - m).exp();
-        let wb = (lse - m).exp();
-        let denom = wa + wb;
-        let o = self
-            .o
-            .iter()
-            .zip(o)
-            .map(|(&a, &b)| (wa * a + wb * b) / denom)
-            .collect();
-        AttentionState {
-            o,
-            lse: m + denom.ln(),
-        }
-    }
-
-    /// In-place variant of [`AttentionState::merge`].
-    pub fn merge_in_place(&mut self, other: &AttentionState) {
-        *self = self.merge(other);
-    }
-
-    /// Compose with summation semantics (non-softmax variants): outputs
-    /// add, the scale field is ignored and kept at `-inf`.
+    /// Compose with summation semantics (non-softmax variants):
+    /// [`merge_sum_into`] on a copy of `self`; the scale field is ignored
+    /// and kept at `-inf`.
     ///
     /// # Panics
     ///
     /// Panics if dimensions differ.
     pub fn merge_sum(&self, other: &AttentionState) -> AttentionState {
-        self.merge_sum_flat(&other.o)
-    }
-
-    /// Summation-semantics compose with a borrowed right operand; see
-    /// [`AttentionState::merge_flat`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub fn merge_sum_flat(&self, o: &[f32]) -> AttentionState {
-        assert_eq!(self.o.len(), o.len(), "state dimension mismatch");
+        let mut o = self.o.clone();
+        merge_sum_into(&mut o, &other.o);
         AttentionState {
-            o: self.o.iter().zip(o).map(|(&a, &b)| a + b).collect(),
+            o,
             lse: f32::NEG_INFINITY,
         }
     }
 
-    /// Merge a sequence of states (softmax semantics) in the given order.
-    /// Because ⊕ is associative and commutative the result is
-    /// order-independent up to floating-point rounding; the *deterministic*
-    /// order used by the contraction kernel is "workspace index ascending".
+    /// Merge a sequence of states (softmax semantics) as a left fold in
+    /// the given order. Because ⊕ is associative and commutative the
+    /// result is order-independent up to floating-point rounding.
     pub fn merge_all<'a>(
         dim: usize,
         states: impl IntoIterator<Item = &'a AttentionState>,
     ) -> AttentionState {
         let mut acc = AttentionState::identity(dim);
         for s in states {
-            acc.merge_in_place(s);
+            merge_into(&mut acc.o, &mut acc.lse, &s.o, s.lse);
         }
         acc
     }
@@ -220,15 +222,67 @@ mod tests {
         assert!(s.is_identity());
     }
 
-    #[test]
-    fn flat_merges_are_bit_identical_to_state_merges() {
-        let a = state(&[1.0, -2.0], 1.3);
-        let b = state(&[0.5, 4.0], -0.2);
-        let id = AttentionState::identity(2);
-        for (x, y) in [(&a, &b), (&b, &a), (&id, &a), (&a, &id), (&id, &id)] {
-            assert_eq!(x.merge(y), x.merge_flat(&y.o, y.lse));
-            assert_eq!(x.merge_sum(y), x.merge_sum_flat(&y.o));
+    /// ⊕ written out here, independently of the code under test.
+    fn formula(a: &AttentionState, b: &AttentionState) -> AttentionState {
+        if a.lse == f32::NEG_INFINITY {
+            return b.clone();
         }
+        if b.lse == f32::NEG_INFINITY {
+            return a.clone();
+        }
+        let m = a.lse.max(b.lse);
+        let (wa, wb) = ((a.lse - m).exp(), (b.lse - m).exp());
+        AttentionState {
+            o: (a.o.iter().zip(&b.o))
+                .map(|(&x, &y)| (wa * x + wb * y) / (wa + wb))
+                .collect(),
+            lse: m + (wa + wb).ln(),
+        }
+    }
+
+    /// Bit equality, any NaN equal to any NaN.
+    fn same(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    fn all_same(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| same(x, y))
+    }
+
+    #[test]
+    fn slice_merge_is_the_formula_bit_for_bit() {
+        let id = AttentionState::identity(2);
+        let cases = [
+            state(&[1.0, -2.0], 1.3),
+            state(&[0.5, 4.0], -0.2),
+            state(&[0.3, 0.7], 1.3), // equal LSEs
+            state(&[1.0, 3.0], 10_000.0),
+            state(&[-2.5, 0.1], 10_000.0),
+            state(&[f32::NAN, 1.0], 0.4),
+            state(&[1.0, 2.0], f32::NAN),
+            state(&[9.0, 9.0], f32::NEG_INFINITY), // an identity with stale outputs
+            id.clone(),
+        ];
+        for a in &cases {
+            for b in &cases {
+                let want = formula(a, b);
+                let (mut o, mut lse) = (a.o.clone(), a.lse);
+                merge_into(&mut o, &mut lse, &b.o, b.lse);
+                let owned = a.merge(b);
+                assert!(same(lse, want.lse) && same(owned.lse, want.lse));
+                assert!(all_same(&o, &want.o) && all_same(&owned.o, &want.o));
+
+                let want = [a.o[0] + b.o[0], a.o[1] + b.o[1]];
+                let mut sum = a.o.clone();
+                merge_sum_into(&mut sum, &b.o);
+                let owned = a.merge_sum(b);
+                assert!(owned.is_identity());
+                assert!(all_same(&sum, &want) && all_same(&owned.o, &want));
+            }
+        }
+        // −inf ⊕ −inf stays the identity, and the right operand's outputs win.
+        assert!(formula(&id, &cases[7]).is_identity());
+        assert_eq!(id.merge(&cases[7]).o, vec![9.0, 9.0]);
     }
 
     #[test]

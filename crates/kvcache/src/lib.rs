@@ -6,9 +6,11 @@
 //! unifies through the block-sparse view (`fi-sparse`):
 //!
 //! * [`paged::PagedKvCache`] — PagedAttention-style storage (Kwon et al.,
-//!   SOSP '23): KV entries live in fixed-size pages drawn from a global
-//!   pool by a [`alloc::PageAllocator`]; a request's logical sequence is a
-//!   scattered list of pages plus the fill of its last page.
+//!   SOSP '23): KV entries live in fixed-size pages of a global pool
+//!   ([`store::KvStore`]) handed out by a
+//!   [`shard_alloc::ShardedPageAllocator`] — the one allocator every pool in
+//!   the workspace draws from; a request's logical sequence is a scattered
+//!   list of pages plus the fill of its last page.
 //! * [`radix::RadixTree`] — RadixAttention-style prefix cache (SGLang):
 //!   a compressed trie over token ids whose edges carry the KV slot ids of
 //!   the cached prefix, with LRU eviction and reference counting for
@@ -20,7 +22,6 @@
 //! the single input format the attention kernels consume (Figure 2 of the
 //! paper).
 
-pub mod alloc;
 pub mod error;
 pub mod groups;
 pub mod map;
@@ -30,7 +31,6 @@ pub mod shard_alloc;
 pub mod store;
 pub mod swap;
 
-pub use alloc::PageAllocator;
 pub use error::KvCacheError;
 pub use map::PageMap;
 pub use paged::{PageExport, PagedKvCache};

@@ -33,9 +33,8 @@ use crate::error::KvCacheError;
 /// A free-list allocator over `num_pages` pages, sharded N ways.
 ///
 /// Page ids are dealt out ascending for a single client starting from its
-/// home shard, matching the unsharded [`crate::alloc::PageAllocator`]'s
-/// order (shard `i` holds the `i`-th contiguous block of ids, each stored
-/// as a LIFO stack with the smallest id on top).
+/// home shard (shard `i` holds the `i`-th contiguous block of ids, each
+/// stored as a LIFO stack with the smallest id on top).
 #[derive(Debug)]
 pub struct ShardedPageAllocator {
     shards: Vec<Mutex<Vec<usize>>>,
@@ -183,8 +182,8 @@ impl ShardedPageAllocator {
 
     /// Return pages to the free pool via the client's `home` shard (LIFO:
     /// the next `alloc_from(home, ..)` reuses them first, cache-warm).
-    /// Double-frees are dropped after a debug assertion, matching
-    /// [`crate::alloc::PageAllocator::free`].
+    /// Double frees and unknown ids are dropped after a debug assertion —
+    /// freeing must never fail (C-DTOR-FAIL).
     pub fn free_to(&self, home: usize, pages: &[usize]) {
         let mut accepted = Vec::with_capacity(pages.len());
         for &p in pages {
@@ -309,7 +308,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn single_client_order_matches_unsharded_allocator() {
+    fn single_client_order_is_ascending_across_shards() {
         let a = ShardedPageAllocator::new(8, 4);
         assert_eq!(a.alloc(3).unwrap(), vec![0, 1, 2]);
         assert_eq!(a.alloc(4).unwrap(), vec![3, 4, 5, 6]);

@@ -1,32 +1,36 @@
 //! Property-based tests for KV-cache managers.
 
 use fi_kvcache::paged::{PagedKvCache, PagedKvConfig};
-use fi_kvcache::{PageAllocator, RadixTree};
+use fi_kvcache::{RadixTree, ShardedPageAllocator};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
 proptest! {
     /// Allocator never hands out the same live page twice, and free/alloc
-    /// conserve the pool.
+    /// conserve the pool — unsharded and at the default shard count.
     #[test]
     fn allocator_conservation(ops in prop::collection::vec((0usize..4, 0usize..3), 1..60)) {
-        let mut a = PageAllocator::new(16);
-        let mut live: Vec<Vec<usize>> = Vec::new();
-        for (kind, n) in ops {
-            if kind < 3 {
-                if let Ok(pages) = a.alloc(n) {
-                    let mut all: HashSet<usize> = live.iter().flatten().copied().collect();
-                    for &p in &pages {
-                        prop_assert!(all.insert(p), "page {p} double-allocated");
+        for a in [
+            ShardedPageAllocator::new(16, 1),
+            ShardedPageAllocator::with_default_shards(16),
+        ] {
+            let mut live: Vec<Vec<usize>> = Vec::new();
+            for &(kind, n) in &ops {
+                if kind < 3 {
+                    if let Ok(pages) = a.alloc(n) {
+                        let mut all: HashSet<usize> = live.iter().flatten().copied().collect();
+                        for &p in &pages {
+                            prop_assert!(all.insert(p), "page {p} double-allocated");
+                        }
+                        live.push(pages);
                     }
-                    live.push(pages);
+                } else if let Some(pages) = live.pop() {
+                    a.free(&pages);
                 }
-            } else if let Some(pages) = live.pop() {
-                a.free(&pages);
+                let live_count: usize = live.iter().map(Vec::len).sum();
+                prop_assert_eq!(a.used_pages(), live_count);
+                prop_assert_eq!(a.free_pages() + a.used_pages(), 16);
             }
-            let live_count: usize = live.iter().map(Vec::len).sum();
-            prop_assert_eq!(a.used_pages(), live_count);
-            prop_assert_eq!(a.free_pages() + a.used_pages(), 16);
         }
     }
 

@@ -359,8 +359,8 @@ fn execute_group<TKV: Scalar>(
     params: &VariantParams,
     group: &GroupUnit,
 ) -> Result<Vec<Vec<f32>>, String> {
-    let tables: Vec<PageTable> = group.members.iter().map(|m| m.pt.clone()).collect();
-    let cascade = CascadeDecodeGroup::from_page_tables(&group.owner_pt, &tables, group.prefix_len)
+    let tables = group.members.iter().map(|m| &m.pt);
+    let cascade = CascadeDecodeGroup::from_page_tables(&group.owner_pt, tables, group.prefix_len)
         .map_err(|e| format!("cascade group: {e:?}"))?;
     let rows = group.members.len();
     let width = cfg.heads.qo_width();

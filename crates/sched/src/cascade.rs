@@ -9,18 +9,18 @@
 //! decoding with unified page table management", §5.1).
 //!
 //! [`PrefixTree`] describes the hierarchy; [`CascadeAttention`] lowers it
-//! to one [`fi_sparse::BlockSparseMatrix`] per level (validated disjoint)
-//! and executes the cascade, merging states deterministically level by
-//! level.
+//! to one [`fi_sparse::BlockSparseMatrix`] per level (validated disjoint).
+//! Execution is the pipeline's: both cascade types hand their levels to the
+//! one cascade body of [`AttentionPipeline`], which merges states
+//! deterministically level by level.
 
 #![allow(clippy::type_complexity)]
 
 use fi_core::config::HeadConfig;
-use fi_core::kernel::{AttentionProblem, KernelOutput, RowMeta};
-use fi_core::state::AttentionState;
-use fi_core::variant::{AttentionVariant, QueryCtx, VariantParams};
+use fi_core::kernel::{KernelOutput, RowMeta};
+use fi_core::variant::{AttentionVariant, VariantParams};
 use fi_sparse::bsr::{BlockEntry, BlockSparseMatrix};
-use fi_sparse::ComposableFormat;
+use fi_sparse::{ComposableFormat, PageTable};
 use fi_tensor::{RaggedTensor, Scalar, Tensor};
 
 use crate::error::SchedError;
@@ -181,9 +181,9 @@ impl CascadeAttention {
     /// Execute the cascade: plan each level through the shared
     /// [`AttentionPipeline`] (one stage per level, all sharing the
     /// pipeline's shape-keyed plan cache), run the planned work items, and
-    /// fold the per-level states with ⊕ in level order. Within a level,
-    /// chunks merge in ascending `(tile, chunk)` order — the same
-    /// deterministic order the contraction pass uses.
+    /// fold the states with ⊕ as one running left fold per `(row, head)` —
+    /// levels in order, within a level the tile's chunks in ascending
+    /// chunk index.
     ///
     /// `row_meta` carries each query row's request identity and *total*
     /// lengths (across all levels), exactly as in single-format problems.
@@ -203,90 +203,17 @@ impl CascadeAttention {
         variant: &dyn AttentionVariant,
         params: &VariantParams,
     ) -> Result<KernelOutput, SchedError> {
-        let kernel = pipeline.kernel();
-        let d = heads.head_dim;
-        let n_states = self.rows * heads.num_qo_heads;
-        let mut acc: Vec<AttentionState> = vec![AttentionState::identity(d); n_states];
-        let use_softmax = variant.use_softmax();
-        let mut stats = fi_core::kernel::KernelStats::default();
-        let mut items_executed = 0u64;
-        // One scratch arena reused across every level's work items.
-        let mut scratch = fi_core::scratch::KernelScratch::new();
-
-        for level in &self.levels {
-            // Each level is one pipeline stage: plan (or hit the shared
-            // cache) for the level's layout, then execute its work items.
-            let mut items: Vec<crate::plan::WorkItem> = pipeline
-                .plan(&level.layout, heads.num_qo_heads, heads.head_dim)?
-                .iter_items()
-                .map(|(_, w)| w.clone())
-                .collect();
-            items.sort_by_key(|w| (w.block_row, w.chunk_index));
-            let problem = AttentionProblem::new(
-                q,
-                k,
-                v,
-                &level.layout,
-                heads,
-                row_meta.to_vec(),
-                level.kv_pos_offsets.clone(),
-            )?;
-            for item in &items {
-                let meta = kernel.run_block_row_chunk_scratch(
-                    &problem,
-                    variant,
-                    params,
-                    item.block_row,
-                    item.kv_block_start..item.kv_block_end,
-                    &mut scratch,
-                )?;
-                stats.absorb(&meta.stats);
-                items_executed += 1;
-                // ⊕-fold straight out of the scratch's flat outputs.
-                for i in 0..meta.n_states {
-                    let row = meta.row_start + i / heads.num_qo_heads;
-                    let head = i % heads.num_qo_heads;
-                    let si = row * heads.num_qo_heads + head;
-                    let st_o = &scratch.out_o()[i * d..(i + 1) * d];
-                    acc[si] = if use_softmax {
-                        acc[si].merge_flat(st_o, scratch.out_lse()[i])
-                    } else {
-                        acc[si].merge_sum_flat(st_o)
-                    };
-                }
-            }
-        }
-        pipeline.record_execution(items_executed, 0);
-        pipeline.record_kernel_stats(&stats);
-
-        // Finalize.
-        let mut o = RaggedTensor::<f32>::zeros(q.indptr().to_vec(), heads.qo_width())
-            .map_err(fi_core::AttentionError::from)?;
-        let mut lse = vec![f32::NEG_INFINITY; n_states];
-        #[allow(clippy::needless_range_loop)]
-        for row in 0..self.rows {
-            let meta = row_meta[row];
-            for head in 0..heads.num_qo_heads {
-                let si = row * heads.num_qo_heads + head;
-                if use_softmax {
-                    lse[si] = acc[si].lse;
-                }
-                let mut orow = acc[si].o.clone();
-                variant.output_transform(
-                    params,
-                    &mut orow,
-                    QueryCtx {
-                        batch_idx: meta.batch_idx,
-                        qo_pos: meta.qo_pos,
-                        qo_head_idx: head,
-                        qo_len: meta.qo_len,
-                        kv_len: meta.kv_len,
-                    },
-                );
-                o.global_row_mut(row)[head * d..(head + 1) * d].copy_from_slice(&orow);
-            }
-        }
-        Ok(KernelOutput { o, lse, stats })
+        pipeline.run_levels(
+            &self.levels,
+            q,
+            k,
+            v,
+            heads,
+            row_meta,
+            variant,
+            params,
+            None,
+        )
     }
 }
 
@@ -328,7 +255,7 @@ pub struct CascadeDecodeGroup {
 }
 
 /// Full-page-then-partial block entries for request `i` of a page table.
-fn table_entries(pt: &fi_sparse::PageTable, i: usize) -> Vec<BlockEntry> {
+fn table_entries(pt: &PageTable, i: usize) -> Vec<BlockEntry> {
     let ps = pt.page_size();
     let pages = pt.request_pages(i);
     let kv = pt.kv_len(i);
@@ -361,11 +288,12 @@ impl CascadeDecodeGroup {
     /// propagates [`CascadeAttention::from_prefix_tree`] errors — in
     /// particular the cross-level disjointness check, which catches any
     /// physical page shared between the owner and a suffix.
-    pub fn from_page_tables(
-        owner: &fi_sparse::PageTable,
-        members: &[fi_sparse::PageTable],
+    pub fn from_page_tables<'m>(
+        owner: &PageTable,
+        members: impl IntoIterator<Item = &'m PageTable>,
         prefix_len: usize,
     ) -> Result<CascadeDecodeGroup, SchedError> {
+        let members: Vec<&PageTable> = members.into_iter().collect();
         if members.is_empty() {
             return Err(SchedError::InvalidConfig("empty cascade group".into()));
         }
@@ -493,13 +421,10 @@ impl CascadeDecodeGroup {
         self.rows * self.prefix_len + self.suffix_lens.iter().sum::<usize>()
     }
 
-    /// Execute the group. Mirrors [`CascadeAttention::run`] — each level
-    /// planned through the shared pipeline (the prefix level and every
-    /// suffix level hit the shape-keyed plan cache independently), work
-    /// items executed in ascending `(tile, chunk)` order, states ⊕-folded
-    /// out of the scratch arena, outputs finalized per row with the
-    /// variant's output transform. `row_meta[r].kv_len` must be the full
-    /// timeline length `prefix_len + suffix_lens[r]`.
+    /// Execute the group: [`CascadeAttention::run`]'s body over the prefix
+    /// level, then every suffix level (each hits the shape-keyed plan cache
+    /// independently). `row_meta[r].kv_len` must be the full timeline
+    /// length `prefix_len + suffix_lens[r]`.
     ///
     /// `dequant` optionally attaches per-KV-head dequantization scales
     /// (the reduced-precision KV path), applied during staging at every
@@ -521,95 +446,24 @@ impl CascadeDecodeGroup {
         params: &VariantParams,
         dequant: Option<(&[f32], &[f32])>,
     ) -> Result<KernelOutput, SchedError> {
-        let kernel = pipeline.kernel();
-        let d = heads.head_dim;
-        let n_states = self.rows * heads.num_qo_heads;
-        let mut acc: Vec<AttentionState> = vec![AttentionState::identity(d); n_states];
-        let use_softmax = variant.use_softmax();
-        let mut stats = fi_core::kernel::KernelStats::default();
-        let mut items_executed = 0u64;
-        let mut scratch = fi_core::scratch::KernelScratch::new();
-
-        for level in std::iter::once(&self.prefix_level).chain(self.suffix_levels.iter()) {
-            let mut items: Vec<crate::plan::WorkItem> = pipeline
-                .plan(&level.layout, heads.num_qo_heads, heads.head_dim)?
-                .iter_items()
-                .map(|(_, w)| w.clone())
-                .collect();
-            items.sort_by_key(|w| (w.block_row, w.chunk_index));
-            let mut problem = AttentionProblem::new(
-                q,
-                k,
-                v,
-                &level.layout,
-                heads,
-                row_meta.to_vec(),
-                level.kv_pos_offsets.clone(),
-            )?;
-            if let Some((ks, vs)) = dequant {
-                problem = problem.with_kv_dequant(ks.to_vec(), vs.to_vec())?;
-            }
-            for item in &items {
-                let meta = kernel.run_block_row_chunk_scratch(
-                    &problem,
-                    variant,
-                    params,
-                    item.block_row,
-                    item.kv_block_start..item.kv_block_end,
-                    &mut scratch,
-                )?;
-                stats.absorb(&meta.stats);
-                items_executed += 1;
-                for i in 0..meta.n_states {
-                    let row = meta.row_start + i / heads.num_qo_heads;
-                    let head = i % heads.num_qo_heads;
-                    let si = row * heads.num_qo_heads + head;
-                    let st_o = &scratch.out_o()[i * d..(i + 1) * d];
-                    acc[si] = if use_softmax {
-                        acc[si].merge_flat(st_o, scratch.out_lse()[i])
-                    } else {
-                        acc[si].merge_sum_flat(st_o)
-                    };
-                }
-            }
-        }
-        pipeline.record_execution(items_executed, 0);
-        pipeline.record_kernel_stats(&stats);
-
-        let mut o = RaggedTensor::<f32>::zeros(q.indptr().to_vec(), heads.qo_width())
-            .map_err(fi_core::AttentionError::from)?;
-        let mut lse = vec![f32::NEG_INFINITY; n_states];
-        #[allow(clippy::needless_range_loop)]
-        for row in 0..self.rows {
-            let meta = row_meta[row];
-            for head in 0..heads.num_qo_heads {
-                let si = row * heads.num_qo_heads + head;
-                if use_softmax {
-                    lse[si] = acc[si].lse;
-                }
-                let mut orow = acc[si].o.clone();
-                variant.output_transform(
-                    params,
-                    &mut orow,
-                    QueryCtx {
-                        batch_idx: meta.batch_idx,
-                        qo_pos: meta.qo_pos,
-                        qo_head_idx: head,
-                        qo_len: meta.qo_len,
-                        kv_len: meta.kv_len,
-                    },
-                );
-                o.global_row_mut(row)[head * d..(head + 1) * d].copy_from_slice(&orow);
-            }
-        }
-        Ok(KernelOutput { o, lse, stats })
+        pipeline.run_levels(
+            std::iter::once(&self.prefix_level).chain(&self.suffix_levels),
+            q,
+            k,
+            v,
+            heads,
+            row_meta,
+            variant,
+            params,
+            dequant,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fi_core::kernel::FlashKernel;
+    use fi_core::kernel::{AttentionProblem, FlashKernel};
     use fi_core::scratch::KernelScratch;
     use fi_core::tiles::TileConfig;
     use fi_core::variant::VanillaAttention;
@@ -852,8 +706,6 @@ mod tests {
         assert_eq!(c.num_levels(), 0);
         assert_eq!(c.gather_slots(), 0);
     }
-
-    use fi_sparse::PageTable;
 
     /// ps=4 pool, owner prefix of 8 slots (pages 0-1), three members with
     /// suffix lengths 3, 5, 1 on disjoint pages.

@@ -14,9 +14,10 @@
 //!   addresses never change across generation steps, the property
 //!   CUDAGraph capture requires.
 //! * [`contraction`] — the variable-length attention-composition kernel:
-//!   merges each split tile's partial states in deterministic ascending
-//!   chunk order (the paper avoids Stream-K atomic aggregation precisely
-//!   to keep outputs deterministic).
+//!   reduces each split tile's partial states where they lie in the
+//!   workspace, in a deterministic fixed tree order over ascending chunk
+//!   index (the paper avoids Stream-K atomic aggregation precisely to keep
+//!   outputs deterministic).
 //! * [`pipeline`] — the unified plan→workspace→run→merge path (§3.4) and
 //!   the `AttentionWrapper` analog (Listing 1): [`AttentionPipeline`] owns
 //!   a shape-keyed [`pipeline::PlanCache`] (sorted per-tile
@@ -25,7 +26,9 @@
 //!   sequence-length change and one `run(...)` per layer, with writethrough
 //!   of unsplit tiles directly to the final output (Appendix D.2). Every
 //!   consumer — serving cost backends, the cascade, the model engine,
-//!   CUDAGraph capture — plans through it.
+//!   CUDAGraph capture — plans through it, and it owns the crate's one
+//!   executor: [`cascade`]'s two `run`s are thin callers of its cascade
+//!   body.
 
 pub mod cascade;
 pub mod contraction;

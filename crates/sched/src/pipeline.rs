@@ -16,9 +16,15 @@
 //!   never shrunk — until a CUDAGraph capture freezes it, after which any
 //!   plan that would need more space fails instead of moving the sections
 //!   (the frozen-pointer contract, Appendix D);
-//! * one [`AttentionPipeline::run`] entry point: the sequential
-//!   persistent-kernel emulation. Live parallelism sits above it — the
-//!   runtime's worker pool and fi-dist's rank threads each own a pipeline.
+//! * one executor: the sequential persistent-kernel emulation, the only
+//!   loop in this crate that launches kernel chunks. Attention states stay
+//!   flat `(o, lse)` slices from the kernel scratch through the workspace
+//!   to the output row. [`AttentionPipeline::run`] contracts split tiles
+//!   in the workspace ([`crate::contraction`]); the cascades
+//!   ([`crate::cascade`]) run each level through the same loop and fold
+//!   into one accumulator the pipeline owns. Live parallelism sits above
+//!   it — the runtime's worker pool and fi-dist's rank threads each own a
+//!   pipeline.
 //!
 //! [`AttentionPipeline::plan`] / [`AttentionPipeline::run`] are the
 //! Listing-1 pair: `plan(seqlen_info)` on the CPU whenever sequence lengths
@@ -28,14 +34,18 @@
 use std::collections::{HashMap, VecDeque};
 
 use fi_core::arch::Arch;
-use fi_core::kernel::{AttentionProblem, FlashKernel, KernelOutput, KernelStats};
+use fi_core::config::HeadConfig;
+use fi_core::kernel::{
+    finalize_tile, AttentionProblem, FlashKernel, KernelOutput, KernelStats, RowMeta,
+};
 use fi_core::scratch::KernelScratch;
 use fi_core::tiles::TileConfig;
-use fi_core::variant::{AttentionVariant, QueryCtx, VariantParams};
+use fi_core::variant::{AttentionVariant, VariantParams};
 use fi_sparse::BlockSparseMatrix;
-use fi_tensor::{RaggedTensor, Scalar};
+use fi_tensor::{RaggedTensor, Scalar, Tensor};
 
-use crate::contraction::merge_partials;
+use crate::cascade::CascadeLevel;
+use crate::contraction::{contract, merge_states};
 use crate::error::SchedError;
 use crate::plan::{balanced_plan, naive_plan, CostModel, Plan};
 use crate::workspace::{Workspace, WorkspaceLayout};
@@ -359,6 +369,10 @@ pub struct AttentionPipeline {
     stats: PipelineStats,
     kernel_stats: KernelStats,
     scratch: KernelScratch,
+    /// The cascade's running ⊕ accumulator, `[rows · H_qo · D]` outputs and
+    /// `[rows · H_qo]` LSEs; like the workspace it only ever grows.
+    acc_o: Vec<f32>,
+    acc_lse: Vec<f32>,
 }
 
 impl AttentionPipeline {
@@ -409,6 +423,8 @@ impl AttentionPipeline {
             stats: PipelineStats::default(),
             kernel_stats: KernelStats::default(),
             scratch: KernelScratch::new(),
+            acc_o: Vec::new(),
+            acc_lse: Vec::new(),
         })
     }
 
@@ -643,7 +659,8 @@ impl AttentionPipeline {
         Ok(self.current.as_ref().expect("just stored"))
     }
 
-    /// Execute the staged plan on a problem (one layer's attention).
+    /// Execute the staged plan on a problem (one layer's attention): run
+    /// the items, contract the split tiles in the workspace, finalize.
     ///
     /// # Errors
     ///
@@ -659,214 +676,197 @@ impl AttentionPipeline {
             .current
             .as_ref()
             .ok_or_else(|| SchedError::PlanMismatch("run called before plan".into()))?;
-        if fingerprint(problem.layout()) != self.current_fingerprint {
+        let layout = problem.layout();
+        if fingerprint(layout) != self.current_fingerprint {
             return Err(SchedError::PlanMismatch(
                 "problem layout differs from planned layout; call plan again".into(),
             ));
         }
-        let out = run_plan_sequential(
+        let heads = problem.heads();
+        let mut o =
+            RaggedTensor::<f32>::zeros(problem.queries().indptr().to_vec(), heads.qo_width())
+                .map_err(fi_core::AttentionError::from)?;
+        let mut lse = vec![f32::NEG_INFINITY; layout.rows() * heads.num_qo_heads];
+        let mut finalize = |row_start: usize, states_o: &[f32], states_lse: &[f32]| {
+            finalize_tile(
+                variant,
+                params,
+                heads,
+                problem.row_meta(),
+                row_start,
+                states_o,
+                states_lse,
+                &mut o,
+                &mut lse,
+            )
+        };
+
+        // Writethrough tiles go straight to the output (Appendix D.2) ...
+        let mut stats = execute_items(
             self.kernel,
             plan,
             &mut self.workspace,
+            &mut self.scratch,
             problem,
             variant,
             params,
-            &mut self.scratch,
+            &mut finalize,
         )?;
+        // ... and the contraction pass merges the split ones.
+        for g in &plan.merge_groups {
+            let (rs, re) = layout.block_row_range(g.block_row);
+            let (merged_o, merged_lse) = contract(
+                &mut self.workspace,
+                &g.partial_indices,
+                (re - rs) * heads.num_qo_heads,
+                heads.head_dim,
+                variant.use_softmax(),
+            );
+            finalize(rs, merged_o, merged_lse);
+        }
+
+        // Q read + O write traffic, as in the direct kernel path.
+        stats.global_bytes +=
+            (layout.rows() * heads.qo_width()) as u64 * (TQ::DTYPE.size_bytes() as u64 + 4);
         self.stats.items_executed += plan.num_items() as u64;
         self.stats.merges += plan.merge_groups.len() as u64;
-        self.kernel_stats.absorb(&out.stats);
-        Ok(out)
+        self.kernel_stats.absorb(&stats);
+        Ok(KernelOutput { o, lse, stats })
     }
 
-    /// Fold externally executed work into the statistics (the cascade path
-    /// executes per-level plans itself and reports here).
-    pub(crate) fn record_execution(&mut self, items: u64, merges: u64) {
-        self.stats.items_executed += items;
-        self.stats.merges += merges;
-    }
+    /// The one cascade body ([`crate::cascade`]): plan each level, run it
+    /// through the executor, and ⊕ its chunk states into the accumulator
+    /// as one running **left fold** per `(row, head)` — levels in order,
+    /// within a level that tile's chunks in ascending chunk index — then
+    /// finalize every row. A deliberately different association from
+    /// [`AttentionPipeline::run`]'s tree bracket (DESIGN.md §12): it is what
+    /// makes a group's bits those of its single-member groups.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_levels<'l, TQ: Scalar, TKV: Scalar>(
+        &mut self,
+        levels: impl IntoIterator<Item = &'l CascadeLevel>,
+        q: &RaggedTensor<TQ>,
+        k: &Tensor<TKV>,
+        v: &Tensor<TKV>,
+        heads: HeadConfig,
+        row_meta: &[RowMeta],
+        variant: &dyn AttentionVariant,
+        params: &VariantParams,
+        dequant: Option<(&[f32], &[f32])>,
+    ) -> Result<KernelOutput, SchedError> {
+        let (hq, d) = (heads.num_qo_heads, heads.head_dim);
+        let n_states = q.total_rows() * hq;
+        let use_softmax = variant.use_softmax();
+        self.acc_o.clear();
+        self.acc_o.resize(n_states * d, 0.0);
+        self.acc_lse.clear();
+        self.acc_lse.resize(n_states, f32::NEG_INFINITY);
+        let mut stats = KernelStats::default();
 
-    /// Fold externally executed kernel statistics (gather detail included)
-    /// into the cumulative accounting — the cascade path runs chunks
-    /// itself and would otherwise drop them at the executor boundary.
-    pub(crate) fn record_kernel_stats(&mut self, stats: &KernelStats) {
-        self.kernel_stats.absorb(stats);
-    }
-}
-
-/// Sequential persistent-kernel emulation of a plan: each CTA drains its
-/// queue in order, split tiles land in the workspace, writethrough tiles go
-/// straight to the output (Appendix D.2), and the contraction pass merges
-/// the rest deterministically.
-fn run_plan_sequential<TQ: Scalar, TKV: Scalar>(
-    kernel: FlashKernel,
-    plan: &Plan,
-    workspace: &mut Workspace,
-    problem: &AttentionProblem<'_, TQ, TKV>,
-    variant: &dyn AttentionVariant,
-    params: &VariantParams,
-    scratch: &mut KernelScratch,
-) -> Result<KernelOutput, SchedError> {
-    let heads = problem.heads();
-    let d = heads.head_dim;
-    let layout = problem.layout();
-
-    let mut o = RaggedTensor::<f32>::zeros(problem.queries().indptr().to_vec(), heads.qo_width())
-        .map_err(fi_core::AttentionError::from)?;
-    let mut lse = vec![f32::NEG_INFINITY; layout.rows() * heads.num_qo_heads];
-    let mut stats = KernelStats::default();
-    let use_softmax = variant.use_softmax();
-
-    // One scratch arena for the whole schedule (owned by the pipeline, so
-    // capacity survives across runs): every item reuses the same buffers,
-    // and both the workspace write and the writethrough finalize read
-    // straight from the scratch's flat outputs — no AttentionState is
-    // materialized anywhere on this path.
-    let mut orow = vec![0.0f32; d];
-    for queue in &plan.cta_queues {
-        for item in queue {
-            let meta = kernel.run_block_row_chunk_scratch(
-                problem,
+        for level in levels {
+            // Each level is one pipeline stage: plan (or hit the shared
+            // cache) for the level's layout, then execute its work items.
+            self.plan(&level.layout, hq, d)?;
+            let mut problem = AttentionProblem::new(
+                q,
+                k,
+                v,
+                &level.layout,
+                heads,
+                row_meta.to_vec(),
+                level.kv_pos_offsets.clone(),
+            )?;
+            if let Some((ks, vs)) = dequant {
+                problem = problem.with_kv_dequant(ks, vs)?;
+            }
+            let plan = self.current.as_ref().expect("just planned");
+            let (acc_o, acc_lse) = (&mut self.acc_o, &mut self.acc_lse);
+            let mut fold = |row_start: usize, o: &[f32], lse: &[f32]| {
+                let at = row_start * hq..row_start * hq + lse.len();
+                let acc_o = &mut acc_o[at.start * d..at.end * d];
+                merge_states((acc_o, &mut acc_lse[at]), (o, lse), d, use_softmax)
+            };
+            stats.absorb(&execute_items(
+                self.kernel,
+                plan,
+                &mut self.workspace,
+                &mut self.scratch,
+                &problem,
                 variant,
                 params,
-                item.block_row,
-                item.kv_block_start..item.kv_block_end,
-                scratch,
-            )?;
-            stats.absorb(&meta.stats);
-            match item.partial_index {
-                Some(pi) => workspace.write_partial_flat(pi, scratch.out_o(), scratch.out_lse(), d),
-                None => finalize_tile_flat_into(
-                    problem,
-                    variant,
-                    params,
-                    meta.row_start,
-                    scratch.out_o(),
-                    scratch.out_lse(),
-                    use_softmax,
-                    &mut orow,
-                    &mut o,
-                    &mut lse,
-                ),
+                &mut fold,
+            )?);
+            for g in &plan.merge_groups {
+                let (rs, re) = level.layout.block_row_range(g.block_row);
+                for &slot in &g.partial_indices {
+                    let (o, lse) = self.workspace.partial(slot, (re - rs) * hq, d);
+                    fold(rs, o, lse);
+                }
             }
+            self.stats.items_executed += plan.num_items() as u64;
         }
-    }
+        self.kernel_stats.absorb(&stats);
 
-    // Contraction pass for split tiles.
-    let states_per_tile: Vec<usize> = (0..layout.n_block_rows())
-        .map(|br| {
-            let (rs, re) = layout.block_row_range(br);
-            (re - rs) * heads.num_qo_heads
-        })
-        .collect();
-    for (block_row, states) in merge_partials(workspace, plan, &states_per_tile, d, use_softmax) {
-        let (rs, _) = layout.block_row_range(block_row);
-        finalize_tile_into(
-            problem,
+        let mut o = RaggedTensor::<f32>::zeros(q.indptr().to_vec(), heads.qo_width())
+            .map_err(fi_core::AttentionError::from)?;
+        let mut lse = vec![f32::NEG_INFINITY; n_states];
+        finalize_tile(
             variant,
             params,
-            rs,
-            &states,
-            use_softmax,
+            heads,
+            row_meta,
+            0,
+            &self.acc_o,
+            &self.acc_lse,
             &mut o,
             &mut lse,
         );
-    }
-
-    // Q read + O write traffic, as in the direct kernel path.
-    stats.global_bytes +=
-        (layout.rows() * heads.qo_width()) as u64 * (TQ::DTYPE.size_bytes() as u64 + 4);
-    Ok(KernelOutput { o, lse, stats })
-}
-
-/// Write a tile's final states into the output, applying the output
-/// transform and recording LSE (the merged split tiles of the contraction
-/// pass).
-#[allow(clippy::too_many_arguments)]
-fn finalize_tile_into<TQ: Scalar, TKV: Scalar>(
-    problem: &AttentionProblem<'_, TQ, TKV>,
-    variant: &dyn AttentionVariant,
-    params: &VariantParams,
-    row_start: usize,
-    states: &[fi_core::state::AttentionState],
-    use_softmax: bool,
-    o: &mut RaggedTensor<f32>,
-    lse: &mut [f32],
-) {
-    let heads = problem.heads();
-    let d = heads.head_dim;
-    for (i, st) in states.iter().enumerate() {
-        let row = row_start + i / heads.num_qo_heads;
-        let head = i % heads.num_qo_heads;
-        let meta = problem.row_meta()[row];
-        if use_softmax {
-            lse[row * heads.num_qo_heads + head] = st.lse;
-        }
-        let mut orow = st.o.clone();
-        variant.output_transform(
-            params,
-            &mut orow,
-            QueryCtx {
-                batch_idx: meta.batch_idx,
-                qo_pos: meta.qo_pos,
-                qo_head_idx: head,
-                qo_len: meta.qo_len,
-                kv_len: meta.kv_len,
-            },
-        );
-        o.global_row_mut(row)[head * d..(head + 1) * d].copy_from_slice(&orow);
+        Ok(KernelOutput { o, lse, stats })
     }
 }
 
-/// [`finalize_tile_into`] reading straight from a scratch arena's flat
-/// `(o, lse)` output buffers — the allocation-free sequential path. `orow`
-/// is a caller-reused `d`-length staging buffer for the output transform.
+/// The executor: the sequential persistent-kernel emulation of a plan.
+/// Each CTA drains its queue in order; a split chunk's states land in its
+/// workspace slot, an unsplit tile's go straight to `unsplit` as
+/// `(first query row, states' outputs, states' LSEs)`, read where the
+/// kernel left them in the scratch. Returns the folded chunk statistics.
 #[allow(clippy::too_many_arguments)]
-fn finalize_tile_flat_into<TQ: Scalar, TKV: Scalar>(
+fn execute_items<TQ: Scalar, TKV: Scalar>(
+    kernel: FlashKernel,
+    plan: &Plan,
+    workspace: &mut Workspace,
+    scratch: &mut KernelScratch,
     problem: &AttentionProblem<'_, TQ, TKV>,
     variant: &dyn AttentionVariant,
     params: &VariantParams,
-    row_start: usize,
-    states_o: &[f32],
-    states_lse: &[f32],
-    use_softmax: bool,
-    orow: &mut [f32],
-    o: &mut RaggedTensor<f32>,
-    lse: &mut [f32],
-) {
-    let heads = problem.heads();
-    let d = heads.head_dim;
-    for (i, &st_lse) in states_lse.iter().enumerate() {
-        let row = row_start + i / heads.num_qo_heads;
-        let head = i % heads.num_qo_heads;
-        let meta = problem.row_meta()[row];
-        if use_softmax {
-            lse[row * heads.num_qo_heads + head] = st_lse;
-        }
-        orow.copy_from_slice(&states_o[i * d..(i + 1) * d]);
-        variant.output_transform(
+    mut unsplit: impl FnMut(usize, &[f32], &[f32]),
+) -> Result<KernelStats, SchedError> {
+    let d = problem.heads().head_dim;
+    let mut stats = KernelStats::default();
+    for (_, item) in plan.iter_items() {
+        let meta = kernel.run_block_row_chunk_scratch(
+            problem,
+            variant,
             params,
-            orow,
-            QueryCtx {
-                batch_idx: meta.batch_idx,
-                qo_pos: meta.qo_pos,
-                qo_head_idx: head,
-                qo_len: meta.qo_len,
-                kv_len: meta.kv_len,
-            },
-        );
-        o.global_row_mut(row)[head * d..(head + 1) * d].copy_from_slice(orow);
+            item.block_row,
+            item.kv_block_start..item.kv_block_end,
+            scratch,
+        )?;
+        stats.absorb(&meta.stats);
+        match item.partial_index {
+            Some(slot) => workspace.write_partial_flat(slot, scratch.out_o(), scratch.out_lse(), d),
+            None => unsplit(meta.row_start, scratch.out_o(), scratch.out_lse()),
+        }
     }
+    Ok(stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fi_core::config::HeadConfig;
     use fi_core::variant::{SigmoidAttention, VanillaAttention};
     use fi_sparse::bsr::BlockEntry;
     use fi_tensor::numerics::allclose;
-    use fi_tensor::Tensor;
 
     fn layout_for(kv_lens: &[usize]) -> BlockSparseMatrix {
         let cols: usize = kv_lens.iter().sum::<usize>().max(1);

@@ -9,12 +9,13 @@
 //!   copied host→device each generation step,
 //! * **partials section** — `2 × #CTA` slots (Appendix D.3's bound: at most
 //!   `#CTA` splits, each contributing at most two boundary tiles), each
-//!   holding `T_q × H_qo × (D + 1)` floats (output + LSE per row/head).
+//!   holding `T_q × H_qo × (D + 1)` floats: a chunk's `n` states stored
+//!   planar, `[n · D]` outputs then `[n]` LSEs — the kernel scratch's own
+//!   `(o, lse)` form, so a partial is written with two copies and the
+//!   contraction ([`crate::contraction`]) reduces the slots where they lie.
 //!
 //! [`WorkspaceLayout`] computes the offsets; [`Workspace`] owns the buffer
 //! and checks every plan against the declared bounds.
-
-use fi_core::state::AttentionState;
 
 use crate::error::SchedError;
 use crate::plan::{Plan, WorkItem};
@@ -223,81 +224,73 @@ impl Workspace {
             .collect()
     }
 
-    /// Write the partial states of one work item into slot `slot`.
-    /// States are `[rows * H_qo]` of dim `d`; stored as `d` floats + LSE.
+    /// Write one work item's partial states into slot `slot` from the
+    /// kernel scratch's flat outputs (`o` is `[n_states, d]` row-major,
+    /// `lse` one value per state), planar: outputs, then LSEs.
     ///
     /// # Panics
     ///
     /// Panics if the slot or state sizes exceed the layout (callers are
-    /// expected to have run [`Workspace::check_plan`]).
-    pub fn write_partial(&mut self, slot: usize, states: &[AttentionState], d: usize) {
-        assert!(
-            slot < self.layout.max_partials,
-            "partial slot {slot} out of range"
-        );
-        assert!(
-            states.len() * (d + 1) <= self.layout.partial_slot_len,
-            "states overflow partial slot"
-        );
-        let base = self.layout.partials_offset + slot * self.layout.partial_slot_len;
-        let mut w = base;
-        for s in states {
-            debug_assert_eq!(s.o.len(), d);
-            self.buf[w..w + d].copy_from_slice(&s.o);
-            self.buf[w + d] = s.lse;
-            w += d + 1;
-        }
+    /// expected to have run [`Workspace::check_plan`]), or the buffer
+    /// lengths disagree.
+    pub fn write_partial_flat(&mut self, slot: usize, o: &[f32], lse: &[f32], d: usize) {
+        let n = lse.len();
+        assert_eq!(o.len(), n * d, "flat o length mismatch");
+        let range = self.slot_range(slot, n, d);
+        let (slot_o, slot_lse) = self.buf[range].split_at_mut(n * d);
+        slot_o.copy_from_slice(o);
+        slot_lse.copy_from_slice(lse);
     }
 
-    /// [`Workspace::write_partial`] from a scratch arena's flat output
-    /// buffers (`o` is `[n_states, d]` row-major, `lse` one value per
-    /// state): identical bytes land in the workspace, with no
-    /// `AttentionState` materialized in between.
+    /// The `n` states of dim `d` held in slot `slot`, as planar
+    /// `(o, lse)` views.
     ///
     /// # Panics
     ///
-    /// Panics if the slot or state sizes exceed the layout, or the buffer
-    /// lengths disagree.
-    pub fn write_partial_flat(&mut self, slot: usize, o: &[f32], lse: &[f32], d: usize) {
+    /// Panics if the slot or state sizes exceed the layout.
+    pub fn partial(&self, slot: usize, n: usize, d: usize) -> (&[f32], &[f32]) {
+        self.buf[self.slot_range(slot, n, d)].split_at(n * d)
+    }
+
+    /// Slot `dst` mutably and slot `src` shared — the two operands of one
+    /// in-place ⊕ of the contraction — as planar `(o, lse)` views of `n`
+    /// states of dim `d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slots or state sizes exceed the layout, or
+    /// `dst == src`.
+    #[allow(clippy::type_complexity)]
+    pub fn partial_pair_mut(
+        &mut self,
+        dst: usize,
+        src: usize,
+        n: usize,
+        d: usize,
+    ) -> ((&mut [f32], &mut [f32]), (&[f32], &[f32])) {
+        assert_ne!(dst, src, "a slot cannot be merged into itself");
+        let (dst, src) = (self.slot_range(dst, n, d), self.slot_range(src, n, d));
+        let (lo, hi) = self.buf.split_at_mut(dst.start.max(src.start));
+        let (dst, src) = if dst.start < src.start {
+            (&mut lo[dst], &hi[..src.len()])
+        } else {
+            (&mut hi[..dst.len()], &lo[src])
+        };
+        (dst.split_at_mut(n * d), src.split_at(n * d))
+    }
+
+    /// Buffer range of the `n` states of dim `d` at the head of `slot`.
+    fn slot_range(&self, slot: usize, n: usize, d: usize) -> std::ops::Range<usize> {
         assert!(
             slot < self.layout.max_partials,
             "partial slot {slot} out of range"
         );
-        let n = lse.len();
-        assert_eq!(o.len(), n * d, "flat o length mismatch");
         assert!(
             n * (d + 1) <= self.layout.partial_slot_len,
             "states overflow partial slot"
         );
         let base = self.layout.partials_offset + slot * self.layout.partial_slot_len;
-        let mut w = base;
-        for i in 0..n {
-            self.buf[w..w + d].copy_from_slice(&o[i * d..(i + 1) * d]);
-            self.buf[w + d] = lse[i];
-            w += d + 1;
-        }
-    }
-
-    /// Read back `n_states` partial states of dim `d` from slot `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn read_partial(&self, slot: usize, n_states: usize, d: usize) -> Vec<AttentionState> {
-        assert!(
-            slot < self.layout.max_partials,
-            "partial slot {slot} out of range"
-        );
-        let base = self.layout.partials_offset + slot * self.layout.partial_slot_len;
-        (0..n_states)
-            .map(|i| {
-                let r = base + i * (d + 1);
-                AttentionState {
-                    o: self.buf[r..r + d].to_vec(),
-                    lse: self.buf[r + d],
-                }
-            })
-            .collect()
+        base..base + n * (d + 1)
     }
 }
 
@@ -327,44 +320,50 @@ mod tests {
         assert_eq!(l.total_len, l.partials_offset + 216 * l.partial_slot_len);
     }
 
+    /// Four states of dim 4, `o[i][j] = i*4 + j` scaled, as flat buffers.
+    fn flat_states(scale: f32) -> (Vec<f32>, Vec<f32>) {
+        (
+            (0..16).map(|x| x as f32 * scale).collect(),
+            (0..4).map(|i| i as f32 * 0.5 - 1.0).collect(),
+        )
+    }
+
     #[test]
     fn partial_roundtrip() {
         let l = WorkspaceLayout::compute(2, 2, 4, 4, 64);
         let mut ws = Workspace::allocate(l);
-        let states: Vec<AttentionState> = (0..4)
-            .map(|i| AttentionState {
-                o: vec![i as f32; 4],
-                lse: i as f32 * 0.5,
-            })
-            .collect();
-        ws.write_partial(3, &states, 4);
-        let back = ws.read_partial(3, 4, 4);
-        assert_eq!(back, states);
+        let (o, lse) = flat_states(0.3);
+        ws.write_partial_flat(3, &o, &lse, 4);
+        assert_eq!(ws.partial(3, 4, 4), (&o[..], &lse[..]));
+        // Stored planar at the head of the slot: outputs, then LSEs.
+        let base = l.partials_offset + 3 * l.partial_slot_len;
+        assert_eq!(ws.buf[base..base + 16], o[..]);
+        assert_eq!(ws.buf[base + 16..base + 20], lse[..]);
         // Other slots untouched.
-        assert!(ws
-            .read_partial(0, 4, 4)
-            .iter()
-            .all(|s| s.o.iter().all(|&x| x == 0.0)));
+        assert!(ws.buf[..base].iter().all(|&x| x == 0.0));
+        assert!(ws.partial(0, 4, 4).0.iter().all(|&x| x == 0.0));
     }
 
     #[test]
-    fn flat_partial_write_matches_state_write() {
+    fn partial_pair_views_are_the_two_slots_in_either_order() {
         let l = WorkspaceLayout::compute(2, 2, 4, 4, 64);
-        let states: Vec<AttentionState> = (0..4)
-            .map(|i| AttentionState {
-                o: (0..4).map(|j| (i * 4 + j) as f32 * 0.3).collect(),
-                lse: i as f32 * 0.5 - 1.0,
-            })
-            .collect();
-        let o_flat: Vec<f32> = states.iter().flat_map(|s| s.o.iter().copied()).collect();
-        let lse_flat: Vec<f32> = states.iter().map(|s| s.lse).collect();
+        let mut ws = Workspace::allocate(l);
+        let (a, b) = (flat_states(0.3), flat_states(-1.5));
+        ws.write_partial_flat(1, &a.0, &a.1, 4);
+        ws.write_partial_flat(6, &b.0, &b.1, 4);
+        for (dst, src, want_dst, want_src) in [(1, 6, &a, &b), (6, 1, &b, &a)] {
+            let ((dst_o, dst_lse), src_views) = ws.partial_pair_mut(dst, src, 4, 4);
+            assert_eq!((&*dst_o, &*dst_lse), (&want_dst.0[..], &want_dst.1[..]));
+            assert_eq!(src_views, (&want_src.0[..], &want_src.1[..]));
+        }
+    }
 
-        let mut ws_a = Workspace::allocate(l);
-        ws_a.write_partial(2, &states, 4);
-        let mut ws_b = Workspace::allocate(l);
-        ws_b.write_partial_flat(2, &o_flat, &lse_flat, 4);
-        assert_eq!(ws_b.read_partial(2, 4, 4), states);
-        assert_eq!(ws_a.read_partial(2, 4, 4), ws_b.read_partial(2, 4, 4));
+    #[test]
+    #[should_panic(expected = "states overflow partial slot")]
+    fn oversized_partial_is_rejected() {
+        let mut ws = Workspace::allocate(WorkspaceLayout::compute(1, 2, 4, 4, 64));
+        let (o, lse) = flat_states(1.0);
+        ws.write_partial_flat(0, &o, &lse, 4);
     }
 
     #[test]

@@ -46,9 +46,6 @@ for _ in 1 2 3; do
   cargo test -q --test runtime_cascade "${PROFILE_FLAGS[@]}" auto_cascade_poisson
 done
 
-echo "==> fi-kvcache allocator stress gate (forced 8/16-thread reconciliation)"
-cargo test -q -p fi-kvcache --test sharded_alloc "${PROFILE_FLAGS[@]}"
-
 echo "==> fi-dist gate (forced parallelism + repeated tp=4 bit-exactness smoke)"
 cargo test -q -p fi-dist "${PROFILE_FLAGS[@]}" -- --test-threads=8
 for _ in 1 2 3; do
